@@ -225,11 +225,12 @@ bool Evaluator::measure(ConfigEval &E) const {
   // configuration as bandwidth-bound, the analytic bound replaces cycle
   // simulation (opt-in; changes results, so tune folds it into the
   // journal fingerprint).
+  SimEngineStats St; // Stays zero on the bandwidth fast path.
   Expected<SimResult> R =
       SOpts.BandwidthFastPath && E.Metrics.bandwidthBound()
           ? estimateBandwidthBoundKernel(*K, App.launch(E.Point), Machine,
                                          SOpts)
-          : simulateKernel(*K, App.launch(E.Point), Machine, SOpts);
+          : simulateKernel(*K, App.launch(E.Point), Machine, SOpts, &St);
   if (!R) {
     E.Failure = R.takeDiag();
     return false;
@@ -237,5 +238,13 @@ bool Evaluator::measure(ConfigEval &E) const {
   E.Sim = *R;
   E.TimeSeconds = E.Sim.Seconds * static_cast<double>(E.Invocations);
   E.Measured = true;
+  // Engine work counters differ between engines (and the timings between
+  // runs), so they go to the trace only; ConfigEval never holds them.
+  traceCount("sim.live_issues", St.LiveIssues);
+  traceCount("sim.ff_issues", St.SkippedIssues);
+  traceCount("sim.snapshots", St.Snapshots);
+  traceCount("sim.period_matches", St.PeriodMatches);
+  traceCount("sim.setup_ns", St.SetupNs);
+  traceCount("sim.snapshot_ns", St.SnapshotNs);
   return true;
 }

@@ -26,10 +26,11 @@
 //    ReadyM, warps needing a fetch/retire check in FetchM, and stalled
 //    warps in StalledM paired with their cached StallUntil plus the exact
 //    minimum (MinWake) — a two-level wake calendar.  Issue selection is
-//    one ctz over ReadyM|FetchM rotated to round-robin order; right after
-//    a warp issues, its next operand-ready time is resolved eagerly
-//    (fetch has no timing side effects) so the mask stays current; and
-//    when nothing is issueable the clock jumps straight to MinWake.
+//    one ctz over ReadyM|FetchM rotated to round-robin order; a warp that
+//    just issued parks in FetchM and its next operand-ready time is
+//    resolved when the rotation next reaches it (as the scan engine
+//    does), usually after its operands have arrived; and when nothing is
+//    issueable the clock jumps straight to MinWake.
 //    Consecutive GlobalMem ops from the same warp are issued in one fused
 //    step that batches the sub-cycle memory-queue accounting into local
 //    accumulators, entered only when no other warp is ready, fetchable,
@@ -43,8 +44,7 @@
 // written only by the warp's own issues — so once a stalled warp's
 // StallUntil is recorded it can never change until that warp issues again,
 // and the recorded wake cycle is exact, never an estimate.  Warps enter
-// the calendar only from the post-issue classification and the
-// fetch-resolve passes, leave it
+// the calendar only from the fetch-resolve passes, leave it
 // only by being drained into ReadyM once the clock reaches their wake
 // cycle (debug builds assert the drained warp is actually issueable right
 // then), and cannot be relaunched or barrier-released while stalled
@@ -83,6 +83,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -93,6 +94,12 @@ using namespace g80;
 namespace {
 
 constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
+
+uint64_t nanosSince(std::chrono::steady_clock::time_point T0) {
+  auto D = std::chrono::steady_clock::now() - T0;
+  return uint64_t(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(D).count());
+}
 
 /// A trace entry with everything the issue loop needs precomputed, so the
 /// per-issue work is array reads instead of operand-kind switches and
@@ -153,6 +160,8 @@ public:
     WStall.assign(NumWarps, Never);
     WarpBlock.resize(NumWarps);
     RegReadyPool.assign(size_t(NumWarps) * NumRegs, 0);
+    Pending.resize(NumWarps);
+    PendingFloor.assign(NumWarps, 0);
     LoopPool.assign(size_t(NumWarps) * std::max(1u, MaxLoopDepth), 0);
     for (unsigned S = 0; S != Slots; ++S) {
       Blocks[S].FirstWarp = S * Occ.WarpsPerBlock;
@@ -163,10 +172,16 @@ public:
     }
   }
 
+  /// Engine work counters; setup time is recorded by the caller.
+  SimEngineStats Stats;
+
   Expected<SimResult> run() {
-    return Opts.EngineSel == SimOptions::Engine::Event && MasksValid
-               ? runLoop</*EventDriven=*/true>()
-               : runLoop</*EventDriven=*/false>();
+    Expected<SimResult> R =
+        Opts.EngineSel == SimOptions::Engine::Event && MasksValid
+            ? runLoop</*EventDriven=*/true>()
+            : runLoop</*EventDriven=*/false>();
+    Stats.LiveIssues = Res.IssuedWarpInstrs - Stats.SkippedIssues;
+    return R;
   }
 
 private:
@@ -197,20 +212,6 @@ private:
     Res.Cycles = Cycle;
     Res.Seconds = Machine.cyclesToSeconds(static_cast<double>(Cycle));
     Res.Occ = Occ;
-#ifdef SIM_FF_STATS
-    if (EventDriven)
-      fprintf(stderr,
-              "FF trk=%d a0=%u s0=%u f0=%u a1=%u s1=%u f1=%u skips=%llu "
-              "skipped=%llu k0=%llu mism=%llu refill=%llu issued=%llu "
-              "cycles=%llu warps=%u\n",
-              NumTrk, Trk[0].AnchorPC, Trk[0].Seen, Trk[0].Fails,
-              Trk[1].AnchorPC, Trk[1].Seen, Trk[1].Fails,
-              (unsigned long long)FFSkips, (unsigned long long)FFSkipped,
-              (unsigned long long)FFMatchK0, (unsigned long long)FFMism,
-              (unsigned long long)FFRefill,
-              (unsigned long long)Res.IssuedWarpInstrs,
-              (unsigned long long)Cycle, NumWarps);
-#endif
     return Res;
   }
 
@@ -285,22 +286,26 @@ private:
   /// IssueCost right then (stalls, barrier waits, and clock jumps only add
   /// more), so a register defined with latency ReadyDelta is certainly
   /// ready once the issue costs of the ops executed since the definition
-  /// sum to ReadyDelta or more.  The analysis tracks, per register, an
-  /// upper bound on the cycles still remaining until it is ready
-  /// ("remaining slack"), decremented by each op's IssueCost; an operand
-  /// whose slack has provably reached zero is dead work and is dropped.
-  /// GlobalMem load destinations get an unknown (infinite) slack — their
-  /// ready time depends on the dynamic queue state — as does every
-  /// register at a point the analysis cannot prove tighter.  Loops are
-  /// handled as structured regions with a max-merge fixpoint at the loop
-  /// head (entry state joined with the back-edge state until stable, all
-  /// registers unknown if convergence takes implausibly long), so
+  /// sum to ReadyDelta or more.  The analysis runs a static issue clock
+  /// (the IssueCost sum along the trace) and records, per register, the
+  /// clock value by which it is certainly ready; an operand whose ready
+  /// clock is at or below the current one is dead work and is dropped.
+  /// GlobalMem load destinations get an unknown (infinite) ready clock —
+  /// their ready time depends on the dynamic queue state.  Loops are
+  /// handled as structured regions with a max-merge join at the loop
+  /// head (entry state joined with the back-edge state), so
   /// loop-carried definitions — an accumulator written a full body length
   /// before its next read — prune too, while a first iteration reading a
   /// pre-loop definition stays conservative.  Pruning changes which
   /// registers earliestIssue reads, never the cycle it computes, so
   /// results stay bit-identical (the skipped reads are exactly those that
   /// cannot exceed the running max's floor of the current cycle).
+  ///
+  /// Cost: nothing is done per register per op.  Absolute ready clocks
+  /// need no per-op decrement, and the loop-head join visits only the
+  /// registers the body wrote (read off the undo log that also restores
+  /// the head state after the trial pass), so the pass is linear in trace
+  /// entries times two passes per loop level (one trial, one pruning).
   void pruneStaticReady() {
     if (Ops.empty() || NumRegs == 0)
       return;
@@ -309,22 +314,41 @@ private:
     for (size_t I = 0; I != Ops.size(); ++I)
       if (Ops[I].K == TraceEntry::Kind::LoopEnd)
         LoopEndOf[Ops[I].Match] = uint32_t(I);
-    std::vector<int64_t> Rem(NumRegs, 0); // Every register ready at launch.
-    analyzeRange(0, Ops.size(), Rem, /*Prune=*/true);
+    PruneState S;
+    S.Ready.assign(NumRegs, 0); // Every register ready at launch.
+    analyzeRange(0, Ops.size(), S, /*Prune=*/true);
   }
 
-  static constexpr int64_t UnknownRem =
-      std::numeric_limits<int64_t>::max() / 2;
+  static constexpr int64_t UnknownReady = std::numeric_limits<int64_t>::max();
 
-  /// Transfer function for entries [Begin, End): updates \p Rem in place;
+  /// The pruning analysis state at one trace point.
+  struct PruneState {
+    int64_t Clock = 0;          ///< Static issue clock.
+    std::vector<int64_t> Ready; ///< Per register: certainly ready by.
+    /// (register, previous Ready) per write, so a loop head can roll the
+    /// state back after a trial pass over its body.
+    std::vector<std::pair<uint32_t, int64_t>> Undo;
+
+    void write(uint32_t R, int64_t V) {
+      Undo.emplace_back(R, Ready[R]);
+      Ready[R] = V;
+    }
+    void rollback(size_t Mark) {
+      while (Undo.size() > Mark) {
+        Ready[Undo.back().first] = Undo.back().second;
+        Undo.pop_back();
+      }
+    }
+  };
+
+  /// Transfer function for entries [Begin, End): updates \p S in place;
   /// rewrites Score lists only when \p Prune (the stable final pass).
-  void analyzeRange(size_t Begin, size_t End, std::vector<int64_t> &Rem,
-                    bool Prune) {
+  void analyzeRange(size_t Begin, size_t End, PruneState &S, bool Prune) {
     for (size_t I = Begin; I < End; ++I) {
       DecodedOp &D = Ops[I];
       if (D.K == TraceEntry::Kind::LoopBegin) {
         size_t LoopEnd = LoopEndOf[I];
-        analyzeLoopBody(I + 1, LoopEnd, Rem, Prune);
+        analyzeLoopBody(I + 1, LoopEnd, S, Prune);
         I = LoopEnd; // The body ran at least once; resume past its end.
         continue;
       }
@@ -334,48 +358,55 @@ private:
         uint8_t Keep = 0;
         for (uint8_t J = 0; J != D.NumScore; ++J) {
           uint32_t R = D.Score[J];
-          if (Rem[R] > 0)
+          if (S.Ready[R] > S.Clock)
             D.Score[Keep++] = R;
         }
         D.NumScore = Keep;
       }
       if (D.HasDst)
-        Rem[D.Dst] = D.LC == LatencyClass::GlobalMem
-                         ? UnknownRem
-                         : int64_t(D.ReadyDelta);
-      int64_t Cost = D.IssueCost;
-      for (int64_t &V : Rem)
-        if (V != 0 && V < UnknownRem)
-          V = V <= Cost ? 0 : V - Cost;
+        S.write(D.Dst, D.LC == LatencyClass::GlobalMem
+                           ? UnknownReady
+                           : S.Clock + int64_t(D.ReadyDelta));
+      S.Clock += D.IssueCost;
     }
   }
 
-  /// Loop-head fixpoint: joins the first-iteration entry state with the
-  /// back-edge state (per-register max — later ready is the conservative
-  /// direction) until stable, then runs the pruning pass over the body
-  /// with the stable state, which over-approximates every iteration.
-  void analyzeLoopBody(size_t Begin, size_t End, std::vector<int64_t> &Rem,
-                       bool Prune) {
-    std::vector<int64_t> Entry = Rem;
-    std::vector<int64_t> Out;
-    for (int Iter = 0;; ++Iter) {
-      if (Iter == 8) { // Not converging: give up on this loop, soundly.
-        std::fill(Entry.begin(), Entry.end(), UnknownRem);
-        break;
+  /// Loop-head join: max-merges the first-iteration entry state with the
+  /// back-edge state (later ready is the conservative direction), then
+  /// runs the pruning pass over the body with the joined state, which
+  /// over-approximates every iteration.  The back-edge state is rebased to
+  /// the head clock by the body's length.  A register the body never
+  /// writes only gets closer to ready around the back edge, so the join
+  /// need not look at it; one the body writes leaves the body with its
+  /// last write's ready clock, which does not depend on the head state.
+  /// So one trial pass yields the fixpoint.
+  void analyzeLoopBody(size_t Begin, size_t End, PruneState &S, bool Prune) {
+    const int64_t Head = S.Clock;
+    std::vector<std::pair<uint32_t, int64_t>> BackEdge;
+    auto trialPass = [&] {
+      size_t Mark = S.Undo.size();
+      analyzeRange(Begin, End, S, /*Prune=*/false);
+      const int64_t Len = S.Clock - Head;
+      BackEdge.clear();
+      for (size_t J = Mark; J != S.Undo.size(); ++J) {
+        uint32_t R = S.Undo[J].first;
+        int64_t V = S.Ready[R];
+        if (V > S.Clock) // Still pending at the back edge.
+          BackEdge.emplace_back(R, V == UnknownReady ? V : V - Len);
       }
-      Out = Entry;
-      analyzeRange(Begin, End, Out, /*Prune=*/false);
-      bool Changed = false;
-      for (size_t R = 0; R != Entry.size(); ++R)
-        if (Out[R] > Entry[R]) {
-          Entry[R] = Out[R];
-          Changed = true;
-        }
-      if (!Changed)
-        break;
-    }
-    Rem = Entry;
-    analyzeRange(Begin, End, Rem, Prune);
+      S.rollback(Mark);
+      S.Clock = Head;
+    };
+    trialPass();
+    for (const auto &[R, V] : BackEdge)
+      if (V > S.Ready[R])
+        S.write(R, V);
+#ifndef NDEBUG
+    trialPass();
+    for (const auto &[R, V] : BackEdge)
+      assert(V <= S.Ready[R] && "loop-head join is not a fixpoint");
+#endif
+    analyzeRange(Begin, End, S, Prune);
   }
 
   //===--- Periodic steady-state fast-forward (event engine) ----------------//
@@ -468,7 +499,7 @@ private:
       Trk[NumTrk++].AnchorPC = LoopPC;
     if (HaveFirst && (!HaveLoop || FirstPC != LoopPC))
       Trk[NumTrk++].AnchorPC = FirstPC;
-    PeriodEnabled = NumTrk != 0;
+    AnchorWarp = NumTrk != 0 ? 0 : ~0u;
   }
 
   /// Canonical clock-relative snapshot.  \p Canon gets every comparable
@@ -476,7 +507,10 @@ private:
   /// order as the canonical stream, which pins their meaning: equal Canon
   /// implies equal shape).  Finished warps contribute only their state tag
   /// — their scoreboard and loop slots are dead until a relaunch resets
-  /// them.
+  /// them.  A live warp's scoreboard is written as its pending registers
+  /// only — count, then (register, cycles until ready) in register order —
+  /// which encodes exactly the clock-relative scoreboard (past timestamps
+  /// canonicalize to zero) without visiting the other NumRegs entries.
   void captureCanon(std::vector<uint64_t> &Canon,
                     std::vector<uint64_t> &Trips) {
     Canon.clear();
@@ -500,8 +534,12 @@ private:
       Canon.push_back(WLoopDepth[W]);
       Canon.push_back((StalledM >> W) & 1 ? WStall[W] - Cycle : 0);
       const uint64_t *R = regReady(W);
-      for (unsigned J = 0; J != NumRegs; ++J)
-        Canon.push_back(R[J] > Cycle ? R[J] - Cycle : 0);
+      const std::vector<uint32_t> &P = compactPending(W);
+      Canon.push_back(P.size());
+      for (uint32_t J : P) {
+        Canon.push_back(J);
+        Canon.push_back(R[J] - Cycle);
+      }
       const uint64_t *L = loopStack(W);
       for (unsigned D = 0; D != WLoopDepth[W]; ++D)
         Trips.push_back(L[D]);
@@ -520,12 +558,8 @@ private:
       return 0;
     uint64_t K = Never;
     for (size_t I = 0; I != CurTrips.size(); ++I) {
-      if (CurTrips[I] > PrevTrips[I]) {
-#ifdef SIM_FF_STATS
-        ++FFRefill;
-#endif
+      if (CurTrips[I] > PrevTrips[I])
         return 0; // A counter refilled mid-period: not a steady orbit.
-      }
       uint64_t Dec = PrevTrips[I] - CurTrips[I];
       // Keep every decremented counter >= 1 so the first loop exit is
       // simulated live, exactly where it belongs.
@@ -552,6 +586,8 @@ private:
   /// shift by K times the period's cycle delta, linear counters add K
   /// times their per-period delta, live loop counters drop K times their
   /// per-period decrement.  Past timestamps stay past and are untouched.
+  /// Runs right after captureCanon(), so the pending lists are compacted
+  /// and hold exactly the future timestamps.
   void applySkip(uint64_t K, const PeriodTracker &T) {
     const PeriodCounters &PrevCnt = T.Prev;
     const std::vector<uint64_t> &PrevTrips = T.Trips;
@@ -561,9 +597,8 @@ private:
       if (WState[W] == WarpState::Finished)
         continue;
       uint64_t *R = regReady(W);
-      for (unsigned J = 0; J != NumRegs; ++J)
-        if (R[J] > Cycle)
-          R[J] += Shift;
+      for (uint32_t J : Pending[W])
+        R[J] += Shift;
       if ((StalledM >> W) & 1)
         WStall[W] += Shift;
       uint64_t *L = loopStack(W);
@@ -576,6 +611,7 @@ private:
       MinWake += Shift;
     Cycle += Shift;
     Res.IssuedWarpInstrs += K * (CurCnt.Issued - PrevCnt.Issued);
+    Stats.SkippedIssues += K * (CurCnt.Issued - PrevCnt.Issued);
     Res.SyntheticCtlInstrs += K * (CurCnt.Synth - PrevCnt.Synth);
     Res.IssueStallCycles += K * (CurCnt.Stall - PrevCnt.Stall);
     Res.MemQueueWaitCycles += K * (CurCnt.MemWait - PrevCnt.MemWait);
@@ -583,26 +619,31 @@ private:
     BlocksRemaining -= K * (PrevCnt.BlocksRem - CurCnt.BlocksRem);
   }
 
-  /// Anchor hit: warp 0 is about to issue the anchor instruction.  Tests
-  /// the current snapshot against the previous one and fast-forwards on a
-  /// match.  Mismatches back off exponentially (phase-drifting
-  /// configurations never settle, and the snapshot must not become their
-  /// overhead); a match against an older snapshot is still exact — k
-  /// anchor-to-anchor spans compose into one longer period.
+  /// Anchor hit: warp 0 is about to issue the anchor instruction.
+  /// Mismatches back off exponentially (phase-drifting configurations
+  /// never settle, and the snapshot must not become their overhead); a
+  /// match against an older snapshot is still exact — k anchor-to-anchor
+  /// spans compose into one longer period.
   void attemptPeriodSkip(PeriodTracker &T) {
     if (++T.Seen & ((1u << std::min(T.Fails, 6u)) - 1))
       return;
+    auto T0 = std::chrono::steady_clock::now();
+    ++Stats.Snapshots;
+    snapshotAndSkip(T);
+    Stats.SnapshotNs += nanosSince(T0);
+  }
+
+  /// Tests the current snapshot against \p T's previous one and
+  /// fast-forwards on a match.
+  void snapshotAndSkip(PeriodTracker &T) {
     captureCanon(CurCanon, CurTrips);
     CurCnt = {Cycle,           Res.IssuedWarpInstrs, Res.SyntheticCtlInstrs,
               Res.IssueStallCycles, Res.MemQueueWaitCycles, Res.BlocksRun,
               BlocksRemaining};
     if (T.Have && CurCanon == T.Canon && CurTrips.size() == T.Trips.size()) {
       T.Fails = 0;
+      ++Stats.PeriodMatches;
       if (uint64_t K = periodBound(T)) {
-#ifdef SIM_FF_STATS
-        ++FFSkips;
-        FFSkipped += K;
-#endif
         applySkip(K, T);
         // The jump rewrote state; both trackers re-detect afresh.
         for (int I = 0; I != NumTrk; ++I)
@@ -611,14 +652,8 @@ private:
       }
       // Periodic, but nothing safely skippable (e.g. final iterations):
       // fall through and roll the snapshot forward.
-#ifdef SIM_FF_STATS
-      ++FFMatchK0;
-#endif
     } else if (T.Have) {
       ++T.Fails;
-#ifdef SIM_FF_STATS
-      ++FFMism;
-#endif
     }
     std::swap(T.Canon, CurCanon);
     std::swap(T.Trips, CurTrips);
@@ -650,8 +685,12 @@ private:
       // are clear; they re-enter scheduling through the fetch mask.
       if (MasksValid)
         FetchM |= bit(Idx);
+      // Every register ready now: only the listed ones can be later.
       uint64_t *RegReady = regReady(Idx);
-      std::fill(RegReady, RegReady + NumRegs, Cycle);
+      for (uint32_t R : Pending[Idx])
+        RegReady[R] = Cycle;
+      Pending[Idx].clear();
+      PendingFloor[Idx] = Cycle;
     }
   }
 
@@ -662,6 +701,38 @@ private:
     return LoopPool.data() + size_t(Idx) * std::max(1u, MaxLoopDepth);
   }
 
+  /// Sets warp \p Idx's register \p R ready at \p T, a future cycle, and
+  /// keeps the pending list complete.  Invariant: a register is listed iff
+  /// its timestamp exceeds PendingFloor[Idx] (the clock at the list's last
+  /// compaction or reset), so every future timestamp is listed, and none
+  /// twice — a timestamp at or below the floor was never listed or was
+  /// dropped when the floor rose past it.
+  void setReady(unsigned Idx, uint64_t *RegReady, uint32_t R, uint64_t T) {
+    assert(T > PendingFloor[Idx] && "scoreboard write in the past");
+    if (__builtin_expect(RegReady[R] <= PendingFloor[Idx], 0))
+      listPending(Idx, R);
+    RegReady[R] = T;
+  }
+
+  /// The rare half of setReady, kept out of line so the issue path stays
+  /// a compare and a store.
+  __attribute__((noinline)) void listPending(unsigned Idx, uint32_t R) {
+    Pending[Idx].push_back(R);
+  }
+
+  /// Drops warp \p Idx's expired pending entries, raises its floor to the
+  /// clock, and sorts the survivors into the canonical register order.
+  const std::vector<uint32_t> &compactPending(unsigned Idx) {
+    const uint64_t *RegReady = regReady(Idx);
+    std::vector<uint32_t> &P = Pending[Idx];
+    P.erase(std::remove_if(P.begin(), P.end(),
+                           [&](uint32_t R) { return RegReady[R] <= Cycle; }),
+            P.end());
+    std::sort(P.begin(), P.end());
+    PendingFloor[Idx] = Cycle;
+    return P;
+  }
+
   //===--- Trace stepping ---------------------------------------------------//
   /// Advances warp \p Idx's PC past loop bookkeeping to the next
   /// instruction.  Returns false when the warp has finished the kernel.
@@ -669,6 +740,8 @@ private:
   /// statistics — which is what lets the event engine fetch eagerly.
   /// Idempotent once the PC rests on an instruction (or the trace end).
   bool fetch(unsigned Idx) {
+    if (WPC[Idx] < Ops.size() && Ops[WPC[Idx]].K == TraceEntry::Kind::Instr)
+      return true; // Already resting on an instruction.
     uint64_t *Loops = loopStack(Idx);
     uint32_t PC = WPC[Idx];
     uint32_t Depth = WLoopDepth[Idx];
@@ -745,8 +818,8 @@ private:
       Res.MemQueueWaitCycles += (StartSub - NowSub) >> 16;
       MemFreeSub = StartSub + D.MemServiceSub;
       if (D.IsLoad && D.HasDst)
-        regReady(Idx)[D.Dst] =
-            (MemFreeSub >> 16) + Machine.GlobalLatencyCycles;
+        setReady(Idx, regReady(Idx), D.Dst,
+                 (MemFreeSub >> 16) + Machine.GlobalLatencyCycles);
       // Stores are fire-and-forget: they consume bandwidth only.
       break;
     }
@@ -778,7 +851,7 @@ private:
     }
     default:
       if (D.HasDst)
-        regReady(Idx)[D.Dst] = Cycle + D.ReadyDelta;
+        setReady(Idx, regReady(Idx), D.Dst, Cycle + D.ReadyDelta);
       break;
     }
 
@@ -864,13 +937,14 @@ private:
 
   //===--- Event engine -----------------------------------------------------//
   /// Invariant: every Running warp of an occupied block is in exactly one
-  /// of ReadyM (next instruction fetched and issueable now — and forever
-  /// after, since a warp's scoreboard is written only by its own issues
-  /// and the clock never goes backwards), StalledM (operand-ready cycle
-  /// WStall > Cycle, minimum cached in MinWake), or FetchM (a relaunched,
-  /// barrier-released, or trace-exhausted warp whose next fetch — and
-  /// possible lazy retirement — is still pending).  AtBarrier and
-  /// Finished warps are in no mask.
+  /// of ReadyM (woken from the calendar or resolved by the advance pass:
+  /// next instruction fetched and issueable now — and forever after,
+  /// since a warp's scoreboard is written only by its own issues and the
+  /// clock never goes backwards), StalledM (operand-ready cycle WStall >
+  /// Cycle, minimum cached in MinWake), or FetchM (a warp that just
+  /// issued, or a relaunched or barrier-released one, whose next fetch
+  /// and scoreboard check — and possible lazy retirement — is still
+  /// pending).  AtBarrier and Finished warps are in no mask.
 
   /// Records warp \p Idx as stalled until \p S (> Cycle).
   void markStalled(unsigned Idx, uint64_t S) {
@@ -916,8 +990,7 @@ private:
   /// candidate; each continuation additionally requires that no stalled
   /// warp wakes at or before the next issue slot, so the scan engine
   /// would provably pick \p Idx again.  Leaves \p Idx unclassified (the
-  /// caller refetches and reclassifies) and the clock/statistics written
-  /// back.
+  /// caller parks it in FetchM) and the clock/statistics written back.
   void fuseMemRun(unsigned Idx) {
     uint64_t LocalCycle = Cycle;
     uint64_t LocalFree = MemFreeSub;
@@ -935,7 +1008,7 @@ private:
       if (LocalCycle >= MinWake)
         break;
       if (!fetch(Idx))
-        break; // Exhausted: retire lazily via resolveWarp/FetchM.
+        break; // Exhausted: selection retires it lazily.
       const DecodedOp &D = Ops[WPC[Idx]];
       if (D.LC != LatencyClass::GlobalMem)
         break;
@@ -943,14 +1016,15 @@ private:
       for (uint8_t J = 0; J != D.NumScore; ++J)
         S = std::max(S, RegReady[D.Score[J]]);
       if (S > LocalCycle)
-        break; // Operands not ready: resolveWarp files it as stalled.
+        break; // Operands not ready: selection files it as stalled.
       ++Fused;
       uint64_t NowSub = LocalCycle << 16;
       uint64_t StartSub = std::max(NowSub, LocalFree);
       LocalWait += (StartSub - NowSub) >> 16;
       LocalFree = StartSub + D.MemServiceSub;
       if (D.IsLoad && D.HasDst)
-        RegReady[D.Dst] = (LocalFree >> 16) + Machine.GlobalLatencyCycles;
+        setReady(Idx, RegReady, D.Dst,
+                 (LocalFree >> 16) + Machine.GlobalLatencyCycles);
       ++WPC[Idx];
       LocalCycle += D.IssueCost;
     }
@@ -960,45 +1034,32 @@ private:
     Res.IssuedWarpInstrs += Fused;
   }
 
-  /// Issues warp \p Idx (in ReadyM) and restores the engine invariant.
-  /// Fast path: when the warp's next instruction is fetched and issueable
-  /// right now — always true once decode-time pruning empties the
-  /// scoreboard list — the warp simply stays in ReadyM, with no mask,
-  /// scoreboard, or StallUntil traffic at all.
+  /// Issues warp \p Idx (in FetchM) and restores the engine invariant.
+  /// Post-issue resolution is lazy: the warp stays in FetchM, and
+  /// selection fetches its next op and checks its scoreboard when the
+  /// round-robin walk next reaches it — exactly where the scan engine
+  /// does the same.  By then the operands have usually arrived, so the
+  /// eager alternative (classify now, insert into the wake calendar,
+  /// drain it again a few issues later) would be wasted work.  An
+  /// exhausted trace is found by that same fetch and retired lazily.
   void issueEventAt(unsigned Idx) {
     bool WasGlobalMem = Ops[WPC[Idx]].LC == LatencyClass::GlobalMem;
     issue</*EventDriven=*/true>(Idx);
-    if (WState[Idx] != WarpState::Running) {
-      ReadyM &= ~bit(Idx); // Parked at a barrier.
-    } else {
-      if (WasGlobalMem && (ReadyM | FetchM) == bit(Idx))
-        fuseMemRun(Idx);
-      if (!fetch(Idx)) {
-        // Trace exhausted: park for lazy retirement at the same point the
-        // scan engine's walk would retire it.
-        ReadyM &= ~bit(Idx);
-        FetchM |= bit(Idx);
-      } else {
-        const DecodedOp &D = Ops[WPC[Idx]];
-        if (D.NumScore != 0) {
-          uint64_t S = earliestIssue(Idx);
-          if (S > Cycle) {
-            ReadyM &= ~bit(Idx);
-            WStall[Idx] = S;
-            markStalled(Idx, S);
-          }
-        }
-      }
-    }
+    if (WState[Idx] != WarpState::Running)
+      FetchM &= ~bit(Idx); // Parked at a barrier.
+    else if (WasGlobalMem && ((ReadyM | FetchM) & ~bit(Idx)) == 0)
+      fuseMemRun(Idx);
     drainCalendar(); // The issue (and any fused run) advanced the clock.
   }
 
   /// Event-engine issue selection: picks the first warp of ReadyM|FetchM
   /// in rotated RR order — exactly the order the scan engine walks the
-  /// warp array — resolving FetchM stragglers on the way.  A mid-pass
-  /// relaunch only re-enters warps at later rotated positions (matching
-  /// the scan's single-pass window), which the mask reload after a
-  /// retirement picks up.
+  /// warp array — resolving FetchM stragglers on the way.  The chosen
+  /// warp issues from FetchM, where it parks after the issue anyway, so a
+  /// resolved warp needs no mask update at all.  A mid-pass relaunch only
+  /// re-enters warps at later rotated positions (matching the scan's
+  /// single-pass window), which the mask reload after a retirement picks
+  /// up.
   bool issueOneEvent() {
     unsigned Start = RRNext; // In [0, NumWarps), NumWarps <= 64.
     uint64_t SegMask = ~uint64_t(0) << Start;   // Rotated segment 1.
@@ -1008,25 +1069,28 @@ private:
       while (Cand != 0) {
         unsigned Idx = unsigned(__builtin_ctzll(Cand));
         if (FetchM & bit(Idx)) {
-          FetchM &= ~bit(Idx);
           if (!fetch(Idx)) {
             // Lazy retirement, at the same clock the scan engine's walk
             // would reach this warp.
+            FetchM &= ~bit(Idx);
             finishWarp(Idx);
             SegMask &= ~uint64_t(0) << 1 << Idx; // Strictly above Idx.
             Cand = (ReadyM | FetchM) & SegMask;
             continue;
           }
           uint64_t S = earliestIssue(Idx);
-          WStall[Idx] = S;
           if (S > Cycle) {
+            FetchM &= ~bit(Idx);
+            WStall[Idx] = S;
             markStalled(Idx, S);
             Cand &= Cand - 1;
             continue;
           }
-          ReadyM |= bit(Idx);
+        } else { // Woken from the calendar; parks in FetchM like any issuer.
+          ReadyM &= ~bit(Idx);
+          FetchM |= bit(Idx);
         }
-        if (PeriodEnabled && Idx == 0)
+        if (Idx == AnchorWarp)
           for (int T = 0; T != NumTrk; ++T)
             if (Trk[T].AnchorPC == WPC[0]) {
               attemptPeriodSkip(Trk[T]);
@@ -1105,6 +1169,11 @@ private:
   std::vector<uint64_t> WStall;
   std::vector<unsigned> WarpBlock;     ///< Warp index -> block slot.
   std::vector<uint64_t> RegReadyPool;  ///< NumWarps x NumRegs scoreboards.
+  /// Per warp: the registers whose timestamps may lie in the future (see
+  /// setReady), so relaunch, snapshot and skip walk pending registers
+  /// instead of all NumRegs.
+  std::vector<std::vector<uint32_t>> Pending;
+  std::vector<uint64_t> PendingFloor; ///< Per warp: see setReady.
   std::vector<uint64_t> LoopPool;      ///< NumWarps x MaxLoopDepth stacks.
   unsigned RRNext = 0;
 
@@ -1121,17 +1190,11 @@ private:
 
   // Periodic steady-state fast-forward (event engine only): see the
   // comment block above selectAnchor().
-  bool PeriodEnabled = false;
+  unsigned AnchorWarp = ~0u; ///< Warp 0, or none when nothing is tracked.
   int NumTrk = 0;
   PeriodTracker Trk[2]; ///< [0] hottest-loop body, [1] trace start.
   PeriodCounters CurCnt;
   std::vector<uint64_t> CurCanon, CurTrips; ///< Reused capture buffers.
-#ifdef SIM_FF_STATS
-public:
-  mutable uint64_t FFSkips = 0, FFSkipped = 0, FFMatchK0 = 0, FFMism = 0,
-      FFRefill = 0;
-private:
-#endif
 
   uint64_t Cycle = 0;
   uint64_t MemFreeSub = 0; // Memory queue head, in 1/65536 cycles.
@@ -1145,7 +1208,8 @@ private:
 Expected<SimResult> g80::simulateKernel(const Kernel &K,
                                         const LaunchConfig &Launch,
                                         const MachineModel &Machine,
-                                        const SimOptions &Opts) {
+                                        const SimOptions &Opts,
+                                        SimEngineStats *Stats) {
   KernelResources Resources = estimateResources(K, Machine);
   Expected<Occupancy> Occ = computeOccupancyChecked(
       Machine, Launch.threadsPerBlock(), Resources);
@@ -1164,9 +1228,14 @@ Expected<SimResult> g80::simulateKernel(const Kernel &K,
   uint64_t BlocksForThisSM =
       (TotalBlocks + Machine.NumSMs - 1) / Machine.NumSMs;
 
+  auto T0 = std::chrono::steady_clock::now();
   TraceProgram Prog = buildTrace(K);
   SMSimulator Sim(Prog, Machine, *Occ, BlocksForThisSM, Opts);
-  return Sim.run();
+  Sim.Stats.SetupNs = nanosSince(T0);
+  Expected<SimResult> R = Sim.run();
+  if (Stats)
+    *Stats = Sim.Stats;
+  return R;
 }
 
 Expected<SimResult> g80::estimateBandwidthBoundKernel(

@@ -86,6 +86,20 @@ struct SimOptions {
   bool BandwidthFastPath = false;
 };
 
+/// How a simulation was computed, not what it computed: these counters
+/// differ between engines (and the timings from run to run) while every
+/// SimResult field stays bit-identical.  They are kept out of SimResult,
+/// so memoized evaluations do not carry them and they are never
+/// journaled; core/Evaluation.cpp forwards them to trace counters only.
+struct SimEngineStats {
+  uint64_t LiveIssues = 0;    ///< Warp instructions issued one at a time.
+  uint64_t SkippedIssues = 0; ///< Replayed by periodic fast-forward.
+  uint64_t Snapshots = 0;     ///< Steady-state snapshots captured.
+  uint64_t PeriodMatches = 0; ///< Snapshots equal to their predecessor.
+  uint64_t SetupNs = 0;       ///< Trace build, decode and operand pruning.
+  uint64_t SnapshotNs = 0;    ///< Snapshot capture, compare and skip.
+};
+
 /// Timing result and scheduler statistics.
 struct SimResult {
   uint64_t Cycles = 0;
@@ -125,10 +139,13 @@ struct SimResult {
 ///  - SimulatorDeadlock: no resident warp can ever become ready again
 ///    while blocks are unfinished — e.g. a barrier in divergent control
 ///    flow, which hangs the block on real hardware.
+/// When \p Stats is set it receives the engine work counters, whether or
+/// not the simulation succeeds.
 Expected<SimResult> simulateKernel(const Kernel &K,
                                    const LaunchConfig &Launch,
                                    const MachineModel &Machine,
-                                   const SimOptions &Opts = {});
+                                   const SimOptions &Opts = {},
+                                   SimEngineStats *Stats = nullptr);
 
 /// Analytic lower-bound timing for a bandwidth-bound kernel: when the §5.3
 /// screen says demanded DRAM traffic exceeds the machine's service rate,

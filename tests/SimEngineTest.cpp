@@ -12,15 +12,20 @@
 // periodic steady-state fast-forward — must be invisible in results.
 // This suite hammers that contract with deterministic fuzzed traces
 // (random latency-class mixes, loop nests, barriers, divergent barriers,
-// occupancy shapes), the apps' emulation spaces, watchdog-budget edges,
-// and a whole-sweep journal comparison.
+// occupancy shapes), the apps' emulation spaces, cp's large-tier long
+// traces, watchdog-budget edges, and a whole-sweep journal comparison.
+// Both engines run the same decode-time pruned op list, so the suite also
+// pins results recorded before the pruning pass was rewritten
+// (SimEnginePins.h): an unsound prune would change both engines alike.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/Simulator.h"
 
+#include "SimEnginePins.h"
 #include "core/Search.h"
 #include "core/SweepDriver.h"
+#include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "ptx/Builder.h"
 
@@ -28,6 +33,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -49,15 +55,26 @@ struct Rng {
   uint64_t range(uint64_t N) { return next() % N; }
 };
 
+void expectPinned(const Expected<SimResult> &R, const PinnedSim &Pin) {
+  ASSERT_TRUE(R.ok()) << R.diag().Message;
+  EXPECT_EQ(R->Cycles, Pin.Cycles);
+  EXPECT_EQ(R->IssueStallCycles, Pin.IssueStallCycles);
+  EXPECT_EQ(R->MemQueueWaitCycles, Pin.MemQueueWaitCycles);
+}
+
 /// Compares one simulation under both engines, including failure
-/// diagnostics (timeout/deadlock/occupancy must match code and message).
+/// diagnostics (timeout/deadlock/occupancy must match code and message),
+/// and optionally against pinned results.
 void expectEnginesIdentical(const Kernel &K, const LaunchConfig &L,
-                            SimOptions Base = {}) {
+                            SimOptions Base = {},
+                            const PinnedSim *Pin = nullptr) {
   SimOptions ScanO = Base, EventO = Base;
   ScanO.EngineSel = SimOptions::Engine::Scan;
   EventO.EngineSel = SimOptions::Engine::Event;
   Expected<SimResult> S = simulateKernel(K, L, gtx(), ScanO);
   Expected<SimResult> E = simulateKernel(K, L, gtx(), EventO);
+  if (Pin)
+    expectPinned(S, *Pin);
   ASSERT_EQ(S.ok(), E.ok());
   if (!S.ok()) {
     EXPECT_EQ(S.diag().Code, E.diag().Code);
@@ -166,6 +183,34 @@ TEST(SimEngine, FuzzedTracesBitIdentical) {
     LaunchConfig L = fuzzLaunch(R);
     SCOPED_TRACE("fuzz case " + std::to_string(Case));
     expectEnginesIdentical(K, L);
+  }
+}
+
+TEST(SimEngine, FuzzedTracesMatchPinnedResults) {
+  static_assert(std::size(FuzzCorpusPins) == 200, "one pin per fuzz case");
+  Rng R(0x9e3779b97f4a7c15ull); // FuzzedTracesBitIdentical's corpus.
+  SimOptions Scan;
+  Scan.EngineSel = SimOptions::Engine::Scan;
+  for (int Case = 0; Case != 200; ++Case) {
+    Kernel K = fuzzKernel(R, /*AllowDivergentBar=*/false);
+    LaunchConfig L = fuzzLaunch(R);
+    SCOPED_TRACE("fuzz case " + std::to_string(Case));
+    expectPinned(simulateKernel(K, L, gtx(), Scan), FuzzCorpusPins[Case]);
+  }
+}
+
+TEST(SimEngine, CpLargeLongTracesBitIdenticalAndPinned) {
+  // Unroll-64/128 kernels, the longest traces in any space (operand
+  // pruning must stay linear in them), and one-thread blocks, where the
+  // periodic fast-forward rarely engages.
+  CpApp App(CpProblem::bench(), SpaceTier::Large);
+  for (const PinnedCpConfig &Pin : CpLargePins) {
+    ConfigPoint P = App.space().pointAt(Pin.FlatIndex);
+    ASSERT_TRUE(App.isExpressible(P));
+    Kernel K = App.buildKernel(P);
+    ASSERT_EQ(K.name(), Pin.Kernel);
+    SCOPED_TRACE(K.name());
+    expectEnginesIdentical(K, App.launch(P), {}, &Pin.Result);
   }
 }
 

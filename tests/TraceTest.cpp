@@ -559,6 +559,45 @@ TEST(TraceSweepTest, TracedParallelJournalIsByteIdenticalToSerialUntraced) {
   EXPECT_TRUE(SawSimulate);
 }
 
+TEST(TraceSweepTest, SimEngineCountersStayOutOfTheJournal) {
+  // The simulator's engine statistics (live vs fast-forwarded issues,
+  // snapshots, setup time) differ between the scan and event engines and
+  // from run to run, so they reach the trace as counters and never the
+  // journal: a traced event sweep journals the bytes of an untraced scan
+  // sweep.
+  ToyApp App(20);
+  SimOptions Scan;
+  Scan.EngineSel = SimOptions::Engine::Scan;
+  SearchEngine ScanEngine(App, gtx(), {}, Scan);
+  SweepOptions Untraced = toyOpts(App, "engine_scan", 1);
+  ASSERT_EQ(
+      SweepDriver(ScanEngine, Untraced).run(ScanEngine.planExhaustive()).Status,
+      SweepStatus::Completed);
+
+  SearchEngine EventEngine(App, gtx());
+  std::string TracePath = tmpPath("engine_trace");
+  SweepOptions Traced = toyOpts(App, "engine_event", 4);
+  {
+    Expected<Tracer> T = Tracer::toFile(TracePath);
+    ASSERT_TRUE(T.ok());
+    ScopedTracer Install(&*T);
+    ASSERT_EQ(SweepDriver(EventEngine, Traced)
+                  .run(EventEngine.planExhaustive(4))
+                  .Status,
+              SweepStatus::Completed);
+  }
+  EXPECT_EQ(slurp(Untraced.JournalPath), slurp(Traced.JournalPath));
+
+  Expected<TraceSummary> S = readTraceSummary(TracePath);
+  ASSERT_TRUE(S.ok()) << S.diag().Message;
+  for (const char *Name : {"sim.live_issues", "sim.ff_issues",
+                           "sim.snapshots", "sim.period_matches",
+                           "sim.setup_ns", "sim.snapshot_ns"})
+    EXPECT_TRUE(S->Counters.count(Name)) << Name;
+  EXPECT_GT(S->Counters.at("sim.live_issues"), 0u);
+  EXPECT_GT(S->Counters.at("sim.setup_ns"), 0u);
+}
+
 TEST(TraceSweepTest, QuarantineCounterMatchesOutcome) {
   // Explicit injection targets: a deterministic quarantine volume.
   const char *Spec = "deadlock@3,timeout@17,deadlock@41";
