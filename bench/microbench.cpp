@@ -163,9 +163,9 @@ void BM_EvaluateMetricsSpace(benchmark::State &State) {
 }
 BENCHMARK(BM_EvaluateMetricsSpace)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_MeasureKernelMemoHit(benchmark::State &State) {
-  // measure() after the kernel cache is warm: isolates simulation cost
-  // from codegen, the steady state of a driven sweep that planned first.
+void BM_Measure(benchmark::State &State) {
+  // measure() on a planned configuration: kernel generation plus
+  // simulation, the per-candidate cost of a driven sweep.
   MatMulApp App(MatMulProblem{128});
   MachineModel M = MachineModel::geForce8800Gtx();
   Evaluator E(App, M);
@@ -182,7 +182,7 @@ void BM_MeasureKernelMemoHit(benchmark::State &State) {
     benchmark::DoNotOptimize(Target->Sim.Cycles);
   }
 }
-BENCHMARK(BM_MeasureKernelMemoHit);
+BENCHMARK(BM_Measure);
 
 void BM_BandwidthFastPathEstimate(benchmark::State &State) {
   // The analytic estimate that replaces full simulation for

@@ -75,7 +75,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 }
 
 /// One timed exhaustive sweep: plan + drive.  A fresh engine per run so
-/// the evaluator's kernel/metric memoization cannot leak work from the
+/// the evaluator's metric memoization cannot leak work from the
 /// serial timing into the parallel one.
 SearchOutcome timedSweep(const TunableApp &App, unsigned Jobs,
                          SimOptions::Engine EngineSel, double &Seconds) {

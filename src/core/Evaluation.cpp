@@ -15,6 +15,13 @@
 
 using namespace g80;
 
+/// Generates the kernel for \p E.  Generation stands in for the paper's
+/// source-to-source + nvcc -ptx step, hence the "parse" span name.
+static Kernel generate(const TunableApp &App, const ConfigEval &E) {
+  TraceSpan Span("parse", E.FlatIndex);
+  return App.buildKernel(E.Point);
+}
+
 void Evaluator::evaluateOne(ConfigEval &E) const {
   const uint64_t I = E.FlatIndex;
   const bool Injecting = Inject.enabled();
@@ -34,13 +41,9 @@ void Evaluator::evaluateOne(ConfigEval &E) const {
     }
   }
 
-  std::shared_ptr<const Kernel> K;
-  {
-    // Kernel generation stands in for the paper's source-to-source +
-    // nvcc -ptx step, hence the "parse" span name.
-    TraceSpan Span("parse", I);
-    K = std::make_shared<const Kernel>(App.buildKernel(E.Point));
-  }
+  // The kernel lives only for this call: measure() regenerates it, so the
+  // static pass holds ConfigEvals, not kernels.
+  const Kernel K = generate(App, E);
 
   {
     TraceSpan Span("verify", I);
@@ -48,7 +51,7 @@ void Evaluator::evaluateOne(ConfigEval &E) const {
         Injecting ? Inject.at(Stage::Verify, I) : std::nullopt;
     if (InjectedVerify) {
       E.Failure = std::move(*InjectedVerify);
-    } else if (Expected<Unit> V = checkKernel(*K); !V) {
+    } else if (Expected<Unit> V = checkKernel(K); !V) {
       E.Failure = V.takeDiag();
     }
   }
@@ -66,7 +69,7 @@ void Evaluator::evaluateOne(ConfigEval &E) const {
     if (InjectedLint) {
       E.Failure = std::move(*InjectedLint);
     } else {
-      LintResult L = runLint(*K, App.launch(E.Point));
+      LintResult L = runLint(K, App.launch(E.Point));
       if (L.errorCount() > 0)
         E.Failure =
             makeDiag(lintErrorCode(L), Stage::Lint, lintErrorSummary(L));
@@ -84,20 +87,13 @@ void Evaluator::evaluateOne(ConfigEval &E) const {
 
   {
     TraceSpan Span("metrics", I);
-    E.Metrics = computeKernelMetrics(*K, App.launch(E.Point), Machine, MOpts);
+    E.Metrics = computeKernelMetrics(K, App.launch(E.Point), Machine, MOpts);
   }
   E.Invocations = App.invocations(E.Point);
   if (E.Metrics.Valid)
     E.EfficiencyTotal =
         efficiencyMetric(E.Metrics.Profile.DynInstrs * E.Invocations,
                          E.Metrics.Threads);
-
-  // Keep the verified kernel for measure(): the plan/measure split would
-  // otherwise regenerate identical IR for every measured candidate.
-  {
-    std::lock_guard<std::mutex> L(CacheM);
-    KernelMemo.emplace(I, std::move(K));
-  }
 }
 
 std::vector<ConfigEval> Evaluator::evaluateMetrics(unsigned Jobs) const {
@@ -189,20 +185,6 @@ Evaluator::evaluateSubset(const std::vector<uint64_t> &Indices,
   return Evals;
 }
 
-std::shared_ptr<const Kernel> Evaluator::kernelFor(const ConfigEval &E) const {
-  {
-    std::lock_guard<std::mutex> L(CacheM);
-    auto It = KernelMemo.find(E.FlatIndex);
-    if (It != KernelMemo.end())
-      return It->second;
-  }
-  auto K = std::make_shared<const Kernel>(App.buildKernel(E.Point));
-  std::lock_guard<std::mutex> L(CacheM);
-  auto [It, Inserted] = KernelMemo.emplace(E.FlatIndex, std::move(K));
-  (void)Inserted;
-  return It->second;
-}
-
 bool Evaluator::measure(ConfigEval &E) const {
   assert(E.usable() && "measuring an unusable configuration");
   if (E.Measured)
@@ -219,7 +201,9 @@ bool Evaluator::measure(ConfigEval &E) const {
     }
   }
 
-  std::shared_ptr<const Kernel> K = kernelFor(E);
+  // Generation is deterministic, so this is the kernel evaluateOne
+  // verified and scored.
+  const Kernel K = generate(App, E);
   TraceSpan Span("simulate", E.FlatIndex);
   // §5.3 screen short-circuit: when the metrics already classify the
   // configuration as bandwidth-bound, the analytic bound replaces cycle
@@ -228,9 +212,9 @@ bool Evaluator::measure(ConfigEval &E) const {
   SimEngineStats St; // Stays zero on the bandwidth fast path.
   Expected<SimResult> R =
       SOpts.BandwidthFastPath && E.Metrics.bandwidthBound()
-          ? estimateBandwidthBoundKernel(*K, App.launch(E.Point), Machine,
+          ? estimateBandwidthBoundKernel(K, App.launch(E.Point), Machine,
                                          SOpts)
-          : simulateKernel(*K, App.launch(E.Point), Machine, SOpts, &St);
+          : simulateKernel(K, App.launch(E.Point), Machine, SOpts, &St);
   if (!R) {
     E.Failure = R.takeDiag();
     return false;

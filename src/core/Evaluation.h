@@ -114,6 +114,9 @@ public:
   /// \p E bandwidth-bound, the analytic bandwidth bound substitutes for
   /// cycle simulation (E.Sim.BandwidthFastPath records it).
   ///
+  /// The kernel is regenerated here (deterministically, so it is the one
+  /// the static pass verified) and dropped after simulation.
+  ///
   /// Thread-safe: concurrent calls on distinct ConfigEvals are the
   /// parallel sweep's worker path.
   bool measure(ConfigEval &E) const;
@@ -123,14 +126,9 @@ public:
   const FaultInjector &injector() const { return Inject; }
 
 private:
-  /// Fills \p E (already carrying FlatIndex) for one configuration.
-  /// Caches the generated kernel for later measure() calls.
+  /// Fills \p E (already carrying FlatIndex) for one configuration.  The
+  /// generated kernel is dropped on return; measure() regenerates it.
   void evaluateOne(ConfigEval &E) const;
-
-  /// Returns the generated kernel for \p E, from the cache when
-  /// evaluateOne already built it (the plan/measure split otherwise
-  /// regenerates identical IR for every measured candidate).
-  std::shared_ptr<const Kernel> kernelFor(const ConfigEval &E) const;
 
   const TunableApp &App;
   const MachineModel Machine;
@@ -140,14 +138,12 @@ private:
   FaultInjector Inject;
 
   /// Memoized results, guarded by CacheM.  The evaluator's inputs are
-  /// immutable after construction, so cached values never go stale; the
-  /// kernel cache is bounded by the number of usable configurations.
+  /// immutable after construction, so cached values never go stale.  No
+  /// kernel is kept: memory is O(evaluated points * sizeof(ConfigEval)).
   mutable std::mutex CacheM;
   mutable std::shared_ptr<const std::vector<ConfigEval>> MetricsMemo;
   mutable std::shared_ptr<const std::vector<uint64_t>> ExpressibleMemo;
   mutable std::unordered_map<uint64_t, ConfigEval> PointMemo;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const Kernel>>
-      KernelMemo;
 };
 
 } // namespace g80

@@ -14,8 +14,8 @@
 ///    session answers "overloaded" instead of queueing unboundedly;
 ///  - a pool of executor threads, each draining the queue through the
 ///    durable SweepDriver with a per-request spool journal;
-///  - an engine registry sharing one SearchEngine (and its metric/kernel
-///    memo caches) across every request for the same
+///  - an engine registry sharing one SearchEngine (and its metric memo
+///    caches) across every request for the same
 ///    app|machine|fastbw|lint combination;
 ///  - the spool (Spool.h), which makes every accepted request durable
 ///    before the client hears "accepted" and every result atomic.

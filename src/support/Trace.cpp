@@ -9,6 +9,7 @@
 #include "support/Journal.h"
 
 #include <atomic>
+#include <cstdlib>
 
 using namespace g80;
 
@@ -78,11 +79,22 @@ void Tracer::close() {
   std::lock_guard<std::mutex> L(*M);
   if (!OS.is_open())
     return;
+  if (std::optional<uint64_t> Kb = peakRssKb())
+    Counters["proc.peak_rss_kb"] = *Kb;
   for (const auto &[Name, Value] : Counters)
     OS << "{\"type\":\"counter\",\"name\":\"" << jsonEscape(Name)
        << "\",\"value\":" << Value << "}\n";
   OS.flush();
   OS.close();
+}
+
+std::optional<uint64_t> g80::peakRssKb() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.compare(0, 6, "VmHWM:") == 0)
+      return std::strtoull(Line.c_str() + 6, nullptr, 10);
+  return std::nullopt;
 }
 
 //===--- Active tracer and span RAII ------------------------------------------//

@@ -54,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -94,8 +95,9 @@ public:
   /// Microseconds since the tracer's epoch, on the monotonic clock.
   uint64_t nowUs() const;
 
-  /// Writes the counter lines and closes the sink.  Idempotent; also run
-  /// by the destructor.
+  /// Writes the counter lines, plus the process's "proc.peak_rss_kb"
+  /// where peakRssKb() can read it, and closes the sink.  Idempotent;
+  /// also run by the destructor.
   void close();
 
 private:
@@ -112,6 +114,10 @@ private:
   std::map<std::thread::id, unsigned> ThreadIds;
   uint64_t Spans = 0;
 };
+
+/// Peak resident set size of this process in kB (VmHWM in
+/// /proc/self/status), or nullopt where that file cannot be read.
+std::optional<uint64_t> peakRssKb();
 
 /// The process-wide tracer instrumentation sites consult.  Null (tracing
 /// off) unless a ScopedTracer is alive.

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PeakRss.h"
+
 #include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 #include "kernels/Cp.h"
@@ -194,6 +196,24 @@ TEST(LargeTier, CpTiledVariantsComputeCorrectly) {
       break;
   }
   EXPECT_TRUE(SawYTile && SawUnroll && SawNarrow);
+}
+
+TEST(LargeTier, StaticPassDoesNotRetainKernels) {
+  // The paper's whole-space static pass (§4) on cp's large tier: 10,880
+  // expressible configs, ~230 KB of kernel IR each.  Its footprint must
+  // follow the ConfigEvals it returns, not the kernels it generated on
+  // the way.  Peak RSS growth, RelWithDebInfo on x86-64 Linux, 4 jobs:
+  // ~55 MB with transient kernels, ~2,470 MB when every kernel stayed
+  // memoized.
+  CpApp App(CpProblem::bench(), SpaceTier::Large);
+  Evaluator E(App, gtx());
+  std::vector<uint64_t> Indices = E.expressibleIndices();
+  PeakRssProbe Rss;
+  if (!Rss.usable())
+    GTEST_SKIP() << "peak RSS is not measurable in this build";
+  std::vector<ConfigEval> Evals = E.evaluateSubset(Indices, 4);
+  EXPECT_EQ(Evals.size(), Indices.size());
+  EXPECT_LT(Rss.growthMb(), 256.0);
 }
 
 //===--- Seeded determinism ----------------------------------------------------//

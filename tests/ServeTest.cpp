@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PeakRss.h"
 #include "ToyApps.h"
 
 #include "core/Search.h"
@@ -612,6 +613,54 @@ TEST(ServeEndToEndTest, EngineRegistrySharesAcrossRequests) {
   EXPECT_EQ(Status->CacheMisses, 1u);
   EXPECT_EQ(Status->CacheHits, 2u);
   EXPECT_GT(Status->cacheHitRate(), 0.5);
+
+  ASSERT_TRUE(Client->shutdown(10).ok());
+  T.join();
+}
+
+TEST(ServeEndToEndTest, DistinctLargeRequestsKeepRssBounded) {
+  // A registry entry lives as long as the daemon, so it must hold only
+  // statics, O(evaluated points * sizeof(ConfigEval)), never kernels.
+  // 24 distinct large-tier random requests, 128 draws each, on three
+  // entries.  Peak RSS growth, RelWithDebInfo on x86-64 Linux: ~14 MB
+  // with transient kernels, ~45 MB when every generated kernel stayed
+  // memoized (and that grows with the number of distinct points drawn).
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  PeakRssProbe Rss;
+  if (!Rss.usable())
+    GTEST_SKIP() << "peak RSS is not measurable in this build";
+  ServeOptions SO;
+  SO.SpoolDir = tmpDir("rss");
+  SO.TcpPort = 0;
+  SO.Executors = 1;
+  SO.Jobs = 2;
+  TuneServer Server(SO);
+  ASSERT_TRUE(Server.start().ok());
+  std::thread T([&] { Server.serve(); });
+
+  Expected<ServeClient> Client = ServeClient::connect("", Server.port());
+  ASSERT_TRUE(Client.ok());
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    for (const char *App : {"matmul", "sad", "mri"}) {
+      TuneRequest Req;
+      Req.App = App;
+      Req.Strategy = "random";
+      Req.Space = "large";
+      Req.Budget = 128;
+      Req.Seed = Seed;
+      Req.Wait = true;
+      Expected<std::string> Reply = Client->submit(Req, 30);
+      ASSERT_TRUE(Reply.ok());
+      ASSERT_EQ(frameType(*Reply), "accepted");
+      Expected<std::string> Result = Client->awaitResult(120);
+      ASSERT_TRUE(Result.ok());
+      ASSERT_EQ(frameType(*Result), "result");
+    }
+  Expected<ServeStatus> Status = Client->status(10);
+  ASSERT_TRUE(Status.ok());
+  EXPECT_EQ(Status->CacheMisses, 3u); // One registry entry per app.
+  EXPECT_LT(Rss.growthMb(), 24.0);
 
   ASSERT_TRUE(Client->shutdown(10).ok());
   T.join();

@@ -94,9 +94,16 @@ TEST(TracerTest, NestedSpansRecordDepthAndContainment) {
     TraceSpan Outer("outer");
     { TraceSpan Inner("inner"); }
   }
-  // Spans complete innermost-first, so the inner line precedes the outer.
+  // Spans complete innermost-first, so the inner line precedes the outer;
+  // close() then adds the process's peak RSS counter where readable.
   std::vector<std::string> L = lines(slurp(Path));
-  ASSERT_EQ(L.size(), 3u); // meta, inner, outer.
+  ASSERT_EQ(L.size(), peakRssKb() ? 4u : 3u); // meta, inner, outer[, rss].
+  if (L.size() == 4) {
+    uint64_t RssKb = 0;
+    EXPECT_NE(L[3].find("\"name\":\"proc.peak_rss_kb\""), std::string::npos);
+    ASSERT_TRUE(jsonUintField(L[3], "value", RssKb));
+    EXPECT_GT(RssKb, 0u);
+  }
   uint64_t InnerStart = 0, InnerDur = 0, InnerDepth = 0;
   uint64_t OuterStart = 0, OuterDur = 0, OuterDepth = 0;
   ASSERT_TRUE(jsonUintField(L[1], "start_us", InnerStart));
