@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -33,7 +33,7 @@ static void runApp(const TunableApp &App, const char *FigureId) {
   MachineModel Machine = MachineModel::geForce8800Gtx();
   SearchEngine Engine(App, Machine);
 
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full = runStrategy(Engine, StrategyKind::Exhaustive).Outcome;
   std::vector<size_t> Front = paretoSubset(Full.Evals);
 
   // Normalize both metrics to [0, 1] as the paper does.

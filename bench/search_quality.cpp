@@ -72,23 +72,11 @@ struct AppQuality {
 
 /// Runs one strategy to completion (no journal — quality only) and
 /// returns its outcome.
-SearchOutcome runStrategy(const SearchEngine &Engine, StrategyKind Kind,
-                          const StrategyOptions &Opts) {
-  if (strategyIsPlannable(Kind)) {
-    SweepOptions SOpts;
-    SOpts.Jobs = Opts.Jobs;
-    SweepReport Rep =
-        SweepDriver(Engine, SOpts).run(planForStrategy(Engine, Kind, Opts));
-    if (Rep.Status != SweepStatus::Completed) {
-      std::cerr << "error: " << strategyName(Kind)
-                << " sweep failed: " << Rep.Error.Message << "\n";
-      std::exit(1);
-    }
-    return std::move(Rep.Outcome);
-  }
+SearchOutcome searchOutcome(const SearchEngine &Engine, StrategyKind Kind,
+                            const StrategyOptions &Opts) {
   SweepOptions SOpts;
   SOpts.Jobs = Opts.Jobs;
-  SweepReport Rep = runAdaptiveSweep(Engine, Kind, Opts, SOpts);
+  SweepReport Rep = runStrategy(Engine, Kind, Opts, SOpts);
   if (Rep.Status != SweepStatus::Completed) {
     std::cerr << "error: " << strategyName(Kind)
               << " search failed: " << Rep.Error.Message << "\n";
@@ -122,7 +110,7 @@ AppQuality benchApp(const std::string &Name, const TunableApp &App,
   Opts.Seed = Seed;
   Opts.Jobs = Jobs;
 
-  SearchOutcome Ex = runStrategy(Engine, StrategyKind::Exhaustive, Opts);
+  SearchOutcome Ex = searchOutcome(Engine, StrategyKind::Exhaustive, Opts);
   if (!Ex.hasBest()) {
     std::cerr << "error: exhaustive sweep of " << Name
               << " found nothing usable\n";
@@ -133,13 +121,13 @@ AppQuality benchApp(const std::string &Name, const TunableApp &App,
 
   for (StrategyKind Kind : {StrategyKind::Pareto, StrategyKind::Cluster})
     Q.Rows.push_back(makeRow(Kind, 0, Q.ExhaustiveBest,
-                             runStrategy(Engine, Kind, Opts)));
+                             searchOutcome(Engine, Kind, Opts)));
   for (StrategyKind Kind : {StrategyKind::Random, StrategyKind::Greedy,
                             StrategyKind::Anneal, StrategyKind::Genetic})
     for (uint64_t B : Budgets) {
       Opts.Budget = B;
       Q.Rows.push_back(makeRow(Kind, B, Q.ExhaustiveBest,
-                               runStrategy(Engine, Kind, Opts)));
+                               searchOutcome(Engine, Kind, Opts)));
     }
   return Q;
 }

@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "cpu/Reference.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
@@ -42,7 +42,7 @@ double wallSeconds(const std::function<void()> &Fn) {
 
 double bestGpuSeconds(const TunableApp &App) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  return Engine.paretoPruned().BestTime;
+  return runStrategy(Engine, StrategyKind::Pareto).Outcome.BestTime;
 }
 
 } // namespace

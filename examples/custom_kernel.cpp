@@ -17,7 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "emu/Emulator.h"
 #include "kernels/Workloads.h"
 #include "ptx/Builder.h"
@@ -136,8 +136,8 @@ int main() {
   }
 
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full = runStrategy(Engine, StrategyKind::Exhaustive).Outcome;
+  SearchOutcome Pruned = runStrategy(Engine, StrategyKind::Pareto).Outcome;
 
   std::cout << "\nstencil space: " << Pruned.ValidCount
             << " valid configurations, " << Pruned.Candidates.size()

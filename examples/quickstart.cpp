@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "kernels/MatMul.h"
 #include "ptx/Printer.h"
 #include "support/Format.h"
@@ -33,7 +33,7 @@ int main() {
             << App.space().rawSize() << " raw configurations)\n\n";
 
   // The contribution: measure only the Pareto-optimal subset.
-  SearchOutcome Pareto = Engine.paretoPruned();
+  SearchOutcome Pareto = runStrategy(Engine, StrategyKind::Pareto).Outcome;
   std::cout << "Pareto-pruned search:\n"
             << "  valid configurations : " << Pareto.ValidCount << "\n"
             << "  measured             : " << Pareto.Candidates.size()
@@ -47,7 +47,7 @@ int main() {
             << "\n\n";
 
   // Sanity: the expensive way.
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full = runStrategy(Engine, StrategyKind::Exhaustive).Outcome;
   std::cout << "Exhaustive search:\n"
             << "  measured             : " << Full.Candidates.size() << "\n"
             << "  best time            : " << fmtDouble(Full.BestTime * 1e3)

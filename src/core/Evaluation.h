@@ -124,6 +124,8 @@ public:
   const TunableApp &app() const { return App; }
   const MachineModel &machine() const { return Machine; }
   const FaultInjector &injector() const { return Inject; }
+  const SimOptions &simOptions() const { return SOpts; }
+  const LintOptions &lintOptions() const { return LOpts; }
 
 private:
   /// Fills \p E (already carrying FlatIndex) for one configuration.  The

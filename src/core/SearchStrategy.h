@@ -9,19 +9,16 @@
 ///
 ///  - **Plannable** strategies (exhaustive, pareto, cluster, random)
 ///    decide their full candidate set up front from static metrics alone.
-///    They produce a SweepPlan and run through the existing SweepDriver,
-///    so journaling, resume, `--jobs`, process isolation, serve and fleet
-///    all apply unchanged.
+///    They produce a SweepPlan, which serve and fleet can also shard.
 ///
 ///  - **Adaptive** strategies (greedy, anneal, genetic) decide each next
 ///    probe from earlier measurements.  They are expressed as a
-///    SearchCursor — a deterministic generator of probe *rounds* — and
-///    executed by runAdaptiveSweep, which measures each round (in
-///    parallel, committing strictly in round order), journals every
-///    measurement attempt, and replays the journal against the
-///    regenerated rounds on resume.  The journal format and fingerprint
-///    header are the same as the driver's, so `tune report` and the
-///    resume/byte-identity guarantees carry over.
+///    SearchCursor — a deterministic generator of probe *rounds* — whose
+///    rounds are replayed against the journal on resume.
+///
+/// Both run through SweepDriver (runStrategy picks the entry point), so
+/// journaling, resume, `--jobs`, process isolation, progress and stop
+/// hooks behave the same for every strategy.
 ///
 /// Everything is seeded-deterministic: the same (app, machine, strategy,
 /// seed, budget, space) always probes the same configurations in the same
@@ -115,15 +112,33 @@ makeSearchCursor(StrategyKind Kind, const ConfigSpace &Space,
                  std::vector<uint64_t> Expressible,
                  const StrategyOptions &Opts);
 
-/// Runs an adaptive strategy durably — the SweepDriver analog for
-/// cursor-driven searches.  Honors SweepOptions journaling/resume/Jobs/
-/// progress/stop hooks (Isolate is not supported and ignored); budget
-/// counts journaled measurement attempts, including replayed ones, so an
-/// interrupted run resumes into the same total.  The journal bytes are
-/// identical for any job count.
+/// Runs an adaptive strategy's cursor through SweepDriver, so every
+/// SweepOptions knob applies, Isolate included.  Budget counts journaled
+/// measurement attempts, including replayed ones, so an interrupted run
+/// resumes into the same total.  The journal bytes are identical for any
+/// job count and with or without isolation.
 SweepReport runAdaptiveSweep(const SearchEngine &Engine, StrategyKind Kind,
                              const StrategyOptions &Strategy,
                              const SweepOptions &Opts);
+
+/// Runs any strategy: plans and drives a plannable one, or runs an
+/// adaptive one through runAdaptiveSweep.
+SweepReport runStrategy(const SearchEngine &Engine, StrategyKind Kind,
+                        const StrategyOptions &Strategy = {},
+                        const SweepOptions &Opts = {});
+
+/// The journal fingerprint header for running \p Kind on \p Engine's app
+/// and machine over the \p Space tier.  Extra is \p InjectSpec, then
+/// "|fastbw" when the engine's bandwidth fast path is on (it changes
+/// measured results), then "|lint" when the lint gate matters: with a
+/// \p Plan only if the plan holds a lint quarantine (a clean space
+/// journals identically with or without the gate); without one (adaptive
+/// strategies evaluate statics lazily) whenever the gate is armed.
+JournalHeader sweepFingerprint(const SearchEngine &Engine, StrategyKind Kind,
+                               const StrategyOptions &Strategy,
+                               std::string_view Space,
+                               const SweepPlan *Plan = nullptr,
+                               std::string_view InjectSpec = {});
 
 } // namespace g80
 

@@ -7,6 +7,7 @@
 #include "core/SweepDriver.h"
 
 #include "core/EvalRecord.h"
+#include "core/SearchStrategy.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -76,10 +77,6 @@ Diagnostic sweepError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
 }
 
-bool fileExists(const std::string &Path) {
-  return std::ifstream(Path).good();
-}
-
 std::string actionWord(FaultAction A) {
   return A == FaultAction::Crash ? "crash" : "hang";
 }
@@ -102,6 +99,12 @@ struct DriveState {
   /// Records committed by this run (excludes resume replay) — drives the
   /// InterruptAfterRecords test hook.
   size_t FreshRecords = 0;
+  /// Progress denominator: the plan's candidates or the adaptive budget.
+  size_t Total = 0;
+  /// Measure in forked shard workers (set once per sweep by
+  /// chooseExecution), with this validated shard size.
+  bool Isolated = false;
+  size_t ShardSize = 1;
 
   DriveState(const SearchEngine &Engine, const SweepOptions &Opts)
       : Engine(Engine), Opts(Opts) {}
@@ -121,6 +124,33 @@ struct DriveState {
   }
 
   void warn(std::string Msg) { Rep.Warnings.push_back(std::move(Msg)); }
+
+  SweepReport fail(Diagnostic Err) {
+    Rep.Status = SweepStatus::Error;
+    Rep.Error = std::move(Err);
+    return std::move(Rep);
+  }
+
+  SweepReport finish(bool Finished) {
+    // Deterministic regardless of execution/replay order, so interrupted +
+    // resumed sweeps compare equal to uninterrupted ones.
+    std::sort(out().Quarantined.begin(), out().Quarantined.end());
+    Writer.close();
+    Rep.Status = Finished ? SweepStatus::Completed : SweepStatus::Interrupted;
+    return std::move(Rep);
+  }
+
+  /// Books Evals[Idx], just restored from a journal record, into the
+  /// outcome without re-journaling it.
+  void restore(size_t Idx) {
+    const ConfigEval &E = out().Evals[Idx];
+    if (E.failed())
+      out().noteQuarantined(Idx);
+    else if (E.Measured)
+      out().noteMeasured(Idx);
+    Done.insert(E.FlatIndex);
+    ++Rep.ResumedSkipped;
+  }
 
   /// Appends the record for a completed eval; a failing journal write
   /// degrades to non-durable execution (with a warning) rather than
@@ -158,7 +188,7 @@ struct DriveState {
       SweepProgress P;
       P.Done = Done.size();
       P.FreshDone = FreshRecords;
-      P.Total = out().Candidates.size();
+      P.Total = Total;
       P.Quarantined = out().Quarantined.size();
       Opts.OnProgress(P);
     }
@@ -271,23 +301,6 @@ void runShardInWorker(const SearchEngine &Engine,
 /// Runs the remaining candidates in forked shard workers.  Returns false
 /// when interrupted.
 bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
-  // Validate the shard size once, against the real remaining work:
-  // oversubscription (a shard larger than the candidate list) would just
-  // put everything into one worker, which is rarely what the caller
-  // meant, so cap it and say so instead of silently obliging.
-  size_t ShardSize = D.Opts.ShardSize;
-  if (ShardSize == 0) {
-    D.warn("--shard 0 is invalid; using 1");
-    ShardSize = 1;
-  }
-  if (!Todo.empty() && ShardSize > Todo.size()) {
-    D.warn("--shard " + std::to_string(ShardSize) + " exceeds the " +
-           std::to_string(Todo.size()) +
-           " remaining candidates; capping the shard size at the "
-           "candidate count");
-    ShardSize = Todo.size();
-  }
-
   while (!Todo.empty()) {
     if (D.stopRequested())
       return false;
@@ -296,7 +309,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
     // worker, after a backoff, so a subsequent failure is unambiguously
     // its own fault.
     bool IsRetry = D.Attempts[D.out().Evals[Todo.front()].FlatIndex] > 0;
-    size_t N = IsRetry ? 1 : std::min(ShardSize, Todo.size());
+    size_t N = IsRetry ? 1 : std::min(D.ShardSize, Todo.size());
     if (!IsRetry) {
       // Never mix a to-be-retried config into a fresh shard mid-queue.
       for (size_t I = 1; I < N; ++I)
@@ -482,112 +495,255 @@ bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
   return !Interrupted;
 }
 
+/// Picks the execution regime once per sweep, with its warnings.
+/// \p Remaining is the known work list size (0 when rounds arrive later,
+/// as in an adaptive search, where no shard-size cap applies).
+void chooseExecution(DriveState &D, size_t Remaining) {
+  if (!D.Opts.Isolate)
+    return;
+  if (!subprocessSupported()) {
+    D.Rep.DegradedInProcess = true;
+    D.warn("process isolation is unavailable on this platform; "
+           "running in-process");
+    return;
+  }
+  D.Isolated = true;
+  if (D.Opts.Jobs > 1)
+    D.warn("--jobs is ignored with --isolate (isolation workers are "
+           "processes, one shard at a time)");
+  // Oversubscription (a shard larger than the candidate list) would just
+  // put everything into one worker, which is rarely what the caller
+  // meant, so cap it and say so instead of silently obliging.
+  D.ShardSize = D.Opts.ShardSize;
+  if (D.ShardSize == 0) {
+    D.warn("--shard 0 is invalid; using 1");
+    D.ShardSize = 1;
+  }
+  if (Remaining != 0 && D.ShardSize > Remaining) {
+    D.warn("--shard " + std::to_string(D.ShardSize) + " exceeds the " +
+           std::to_string(Remaining) +
+           " remaining candidates; capping the shard size at the "
+           "candidate count");
+    D.ShardSize = Remaining;
+  }
+}
+
+/// Measures and commits \p Todo in order under the chosen regime.
+/// Returns false when interrupted.
+bool measureBatch(DriveState &D, std::deque<size_t> &Todo) {
+  if (D.Isolated)
+    return runIsolated(D, Todo);
+  unsigned Jobs = std::max(1u, D.Opts.Jobs);
+  return Jobs > 1 && Todo.size() > 1 ? runInProcessParallel(D, Todo, Jobs)
+                                     : runInProcess(D, Todo);
+}
+
+/// Opens the journal, if any, for appending.  On resume, a journal with a
+/// matching fingerprint is reopened past its last valid record, and its
+/// records are returned for replay.
+Expected<std::vector<std::string>> openJournal(DriveState &D) {
+  const SweepOptions &Opts = D.Opts;
+  if (Opts.JournalPath.empty())
+    return std::vector<std::string>{};
+  bool Exists = std::ifstream(Opts.JournalPath).good();
+  if (!Opts.Resume || !Exists) {
+    if (Opts.Resume)
+      D.warn("journal '" + Opts.JournalPath +
+             "' does not exist yet; starting a fresh sweep");
+    Expected<JournalWriter> W =
+        JournalWriter::create(Opts.JournalPath, Opts.Fingerprint);
+    if (!W)
+      return W.takeDiag();
+    D.Writer = W.takeValue();
+    return std::vector<std::string>{};
+  }
+  Expected<JournalContents> C = readJournal(Opts.JournalPath);
+  if (!C)
+    return C.takeDiag();
+  if (!C->Header.matches(Opts.Fingerprint))
+    return sweepError(
+        "journal '" + Opts.JournalPath +
+        "' was written by a different sweep (app/machine/strategy/"
+        "seed/injection fingerprint mismatch); refusing to resume");
+  D.Rep.TornTailDropped = C->DroppedTornTail;
+  if (C->DroppedTornTail)
+    D.warn("dropped a torn final journal record (the kill point); "
+           "that configuration will be re-measured");
+  Expected<JournalWriter> W =
+      JournalWriter::append(Opts.JournalPath, C->ValidBytes);
+  if (!W)
+    return W.takeDiag();
+  D.Writer = W.takeValue();
+  return std::move(C->Records);
+}
+
 } // namespace
 
 SweepReport SweepDriver::run(SweepPlan Plan) const {
   DriveState D(Engine, Opts);
-  D.out() = SearchOutcome::fromPlan(std::move(Plan));
-
-  auto Fail = [&](Diagnostic Err) {
-    D.Rep.Status = SweepStatus::Error;
-    D.Rep.Error = std::move(Err);
-    return std::move(D.Rep);
-  };
+  SearchOutcome &Out = D.out();
+  Out = SearchOutcome::fromPlan(std::move(Plan));
+  D.Total = Out.Candidates.size();
 
   std::unordered_set<uint64_t> CandidateFlat;
-  for (size_t Idx : D.out().Candidates)
-    CandidateFlat.insert(D.out().Evals[Idx].FlatIndex);
+  for (size_t Idx : Out.Candidates)
+    CandidateFlat.insert(Out.Evals[Idx].FlatIndex);
 
   // Journal records address configurations by flat index.  Exhaustive
   // plans are dense (position == flat index), but budgeted strategies
   // carry only the planned subset in Evals, so replay has to translate.
   std::unordered_map<uint64_t, size_t> PosOfFlat;
-  for (size_t I = 0; I != D.out().Evals.size(); ++I)
-    PosOfFlat.emplace(D.out().Evals[I].FlatIndex, I);
+  for (size_t I = 0; I != Out.Evals.size(); ++I)
+    PosOfFlat.emplace(Out.Evals[I].FlatIndex, I);
 
-  //--- Journal setup (and resume replay). ---------------------------------//
-  if (!Opts.JournalPath.empty()) {
-    bool Exists = fileExists(Opts.JournalPath);
-    if (Opts.Resume && Exists) {
-      Expected<JournalContents> C = readJournal(Opts.JournalPath);
-      if (!C)
-        return Fail(C.takeDiag());
-      if (!C->Header.matches(Opts.Fingerprint))
-        return Fail(sweepError(
-            "journal '" + Opts.JournalPath +
-            "' was written by a different sweep (app/machine/strategy/"
-            "seed/injection fingerprint mismatch); refusing to resume"));
-      D.Rep.TornTailDropped = C->DroppedTornTail;
-      if (C->DroppedTornTail)
-        D.warn("dropped a torn final journal record (the kill point); "
-               "that configuration will be re-measured");
-      for (const std::string &Payload : C->Records) {
-        Expected<EvalRecord> R = EvalRecord::fromJson(Payload);
-        if (!R)
-          return Fail(R.takeDiag());
-        auto PosIt = PosOfFlat.find(R->Index);
-        if (PosIt == PosOfFlat.end() || !CandidateFlat.count(R->Index) ||
-            D.out().Evals[PosIt->second].Point != R->Point)
-          return Fail(sweepError(
-              "journal record for config #" + std::to_string(R->Index) +
-              " does not match the planned sweep; refusing to resume"));
-        if (D.Done.count(R->Index))
-          continue;
-        ConfigEval &E = D.out().Evals[PosIt->second];
-        R->applyTo(E);
-        if (E.failed())
-          D.out().noteQuarantined(PosIt->second);
-        else if (E.Measured)
-          D.out().noteMeasured(PosIt->second);
-        D.Done.insert(R->Index);
-      }
-      D.Rep.ResumedSkipped = D.Done.size();
-      Expected<JournalWriter> W =
-          JournalWriter::append(Opts.JournalPath, C->ValidBytes);
-      if (!W)
-        return Fail(W.takeDiag());
-      D.Writer = W.takeValue();
-    } else {
-      if (Opts.Resume && !Exists)
-        D.warn("journal '" + Opts.JournalPath +
-               "' does not exist yet; starting a fresh sweep");
-      Expected<JournalWriter> W =
-          JournalWriter::create(Opts.JournalPath, Opts.Fingerprint);
-      if (!W)
-        return Fail(W.takeDiag());
-      D.Writer = W.takeValue();
-    }
+  // A plan replays as a set: any journaled candidate is restored.
+  Expected<std::vector<std::string>> Records = openJournal(D);
+  if (!Records)
+    return D.fail(Records.takeDiag());
+  for (const std::string &Payload : *Records) {
+    Expected<EvalRecord> R = EvalRecord::fromJson(Payload);
+    if (!R)
+      return D.fail(R.takeDiag());
+    auto PosIt = PosOfFlat.find(R->Index);
+    if (PosIt == PosOfFlat.end() || !CandidateFlat.count(R->Index) ||
+        Out.Evals[PosIt->second].Point != R->Point)
+      return D.fail(sweepError(
+          "journal record for config #" + std::to_string(R->Index) +
+          " does not match the planned sweep; refusing to resume"));
+    if (D.Done.count(R->Index))
+      continue;
+    R->applyTo(Out.Evals[PosIt->second]);
+    D.restore(PosIt->second);
   }
 
-  //--- Measurement phase. -------------------------------------------------//
   std::deque<size_t> Todo;
-  for (size_t Idx : D.out().Candidates)
-    if (!D.Done.count(D.out().Evals[Idx].FlatIndex))
+  for (size_t Idx : Out.Candidates)
+    if (!D.Done.count(Out.Evals[Idx].FlatIndex))
       Todo.push_back(Idx);
+  chooseExecution(D, Todo.size());
+  return D.finish(measureBatch(D, Todo));
+}
 
-  bool Finished;
+SweepReport SweepDriver::run(SearchCursor &Cursor, std::string Strategy,
+                             uint64_t Budget) const {
+  const Evaluator &Eval = Engine.evaluator();
+  DriveState D(Engine, Opts);
+  SearchOutcome &Out = D.out();
+  Out.Strategy = std::move(Strategy);
+  Budget = std::max<uint64_t>(1, Budget);
+  D.Total = size_t(Budget);
+
+  // An adaptive search replays in order: each round's journaled prefix
+  // must match the regenerated probes, or the journal belongs to a
+  // different run.
+  Expected<std::vector<std::string>> Records = openJournal(D);
+  if (!Records)
+    return D.fail(Records.takeDiag());
+  std::deque<std::string> Replay(Records->begin(), Records->end());
+  chooseExecution(D, 0);
+
+  std::unordered_map<uint64_t, size_t> PosOf; // flat -> position in Evals.
+  // Backstop against cursors that can only re-propose known points
+  // (possible once a small space is fully explored): rounds past this are
+  // treated as convergence, never an error.
+  const uint64_t RoundLimit = 256 + 16 * Budget;
   unsigned Jobs = std::max(1u, Opts.Jobs);
-  if (Opts.Isolate && subprocessSupported()) {
-    if (Jobs > 1)
-      D.warn("--jobs is ignored with --isolate (isolation workers are "
-             "processes, one shard at a time)");
-    Finished = runIsolated(D, Todo);
-  } else {
-    if (Opts.Isolate) {
-      D.Rep.DegradedInProcess = true;
-      D.warn("process isolation is unavailable on this platform; "
-             "running in-process");
+
+  bool Interrupted = false;
+  for (uint64_t Round = 1;; ++Round) {
+    if (D.stopRequested()) {
+      Interrupted = true;
+      break;
     }
-    Finished = Jobs > 1 ? runInProcessParallel(D, Todo, Jobs)
-                        : runInProcess(D, Todo);
+    if (D.Done.size() >= Budget)
+      break; // Allowance spent (possibly entirely during replay).
+    std::vector<uint64_t> Proposals = Cursor.nextRound();
+    if (Proposals.empty())
+      break; // Cursor converged.
+    if (Round > RoundLimit) {
+      D.warn("adaptive search hit the round backstop (" +
+             std::to_string(RoundLimit) + " rounds); stopping");
+      break;
+    }
+
+    // Unique proposals in first-appearance order; statics for the ones
+    // never probed before.
+    std::vector<uint64_t> Unique, Fresh;
+    {
+      std::unordered_set<uint64_t> Seen;
+      for (uint64_t Flat : Proposals)
+        if (Seen.insert(Flat).second) {
+          Unique.push_back(Flat);
+          if (!PosOf.count(Flat))
+            Fresh.push_back(Flat);
+        }
+    }
+    for (ConfigEval &E : Eval.evaluateSubset(Fresh, Jobs)) {
+      size_t Pos = Out.Evals.size();
+      PosOf.emplace(E.FlatIndex, Pos);
+      Out.Evals.push_back(std::move(E));
+      if (Out.Evals[Pos].usable())
+        ++Out.ValidCount;
+      else if (Out.Evals[Pos].failed())
+        Out.noteQuarantined(Pos);
+    }
+
+    // The round's measurement work list: usable and not yet journaled.
+    // Static rejects are deterministic and cheaply recomputed, so they
+    // are fed to the cursor but never journaled or budgeted.
+    std::vector<size_t> Probes;
+    for (uint64_t Flat : Unique) {
+      size_t Pos = PosOf.at(Flat);
+      if (Out.Evals[Pos].usable() && !D.Done.count(Flat))
+        Probes.push_back(Pos);
+    }
+
+    // Replay the journaled prefix, then measure the rest.
+    size_t Replayed = 0;
+    for (; Replayed != Probes.size() && !Replay.empty(); ++Replayed) {
+      Expected<EvalRecord> R = EvalRecord::fromJson(Replay.front());
+      if (!R)
+        return D.fail(R.takeDiag());
+      ConfigEval &E = Out.Evals[Probes[Replayed]];
+      if (R->Index != E.FlatIndex || R->Point != E.Point)
+        return D.fail(sweepError(
+            "journal record for config #" + std::to_string(R->Index) +
+            " does not match the regenerated search sequence; refusing "
+            "to resume"));
+      Replay.pop_front();
+      R->applyTo(E);
+      D.restore(Probes[Replayed]);
+    }
+    std::deque<size_t> Todo(Probes.begin() + ptrdiff_t(Replayed),
+                            Probes.end());
+
+    // Budget truncation: measure only what fits; exhaustion completes the
+    // search (the strategy spent its allowance).
+    bool BudgetExhausted = D.Done.size() + Todo.size() >= Budget;
+    if (BudgetExhausted)
+      Todo.resize(size_t(Budget) - D.Done.size());
+    Interrupted = !measureBatch(D, Todo);
+    for (size_t Pos : Probes) {
+      const ConfigEval &E = Out.Evals[Pos];
+      if (D.Done.count(E.FlatIndex) && E.Measured && !E.failed())
+        Out.Candidates.push_back(Pos);
+    }
+    if (Interrupted || BudgetExhausted)
+      break;
+
+    // Feed the cursor every proposal's outcome, in proposal order.
+    std::vector<ProbeResult> Feed;
+    Feed.reserve(Proposals.size());
+    for (uint64_t Flat : Proposals) {
+      const ConfigEval &E = Out.Evals[PosOf.at(Flat)];
+      Feed.push_back({Flat, E.Measured && !E.failed(), E.TimeSeconds});
+    }
+    Cursor.feed(Feed);
   }
 
-  // Deterministic regardless of execution/replay order, so interrupted +
-  // resumed sweeps compare equal to uninterrupted ones.
-  std::sort(D.out().Quarantined.begin(), D.out().Quarantined.end());
-
-  D.Writer.close();
-  D.Rep.Status =
-      Finished ? SweepStatus::Completed : SweepStatus::Interrupted;
-  return std::move(D.Rep);
+  if (!Interrupted && !Replay.empty())
+    return D.fail(sweepError(
+        "journal holds more records than the regenerated search replays; "
+        "refusing to resume"));
+  return D.finish(!Interrupted);
 }

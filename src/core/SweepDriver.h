@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The durable sweep-execution layer.  A SweepDriver takes a SweepPlan
-/// (the cheap static phase of a strategy) and runs the expensive
-/// measurement phase with three protections the in-memory SearchEngine
-/// loop lacks:
+/// The sweep-execution layer: the only code that measures, journals,
+/// resumes, isolates and commits.  A SweepDriver runs either a SweepPlan
+/// (the cheap static phase of a plannable strategy) or the probe rounds
+/// of an adaptive SearchCursor, and gives every measurement the same
+/// three protections:
 ///
 ///  - **Write-ahead journal** (support/Journal.h): every completed
 ///    evaluation — measured or quarantined — is appended as a checksummed,
@@ -20,6 +21,8 @@
 ///    configurations are restored (bit-identical times) and skipped; a
 ///    torn final record from the kill point is truncated away.  A journal
 ///    from a different app/machine/strategy/seed/injection is rejected.
+///    A plan replays as a set; an adaptive search replays in order, each
+///    round's journaled prefix matching the regenerated probes.
 ///
 ///  - **Process isolation** (support/Subprocess.h): with
 ///    SweepOptions::Isolate, workers are forked per shard of candidates
@@ -51,6 +54,8 @@
 
 namespace g80 {
 
+class SearchCursor;
+
 /// One progress observation, emitted from the committer after every
 /// completed (measured or quarantined) record.  Counts include
 /// journal-resumed configurations, so Done/Total is the sweep's true
@@ -59,7 +64,7 @@ namespace g80 {
 struct SweepProgress {
   size_t Done = 0;       ///< Candidates completed, including resumed.
   size_t FreshDone = 0;  ///< Candidates completed by this run.
-  size_t Total = 0;      ///< Planned candidates.
+  size_t Total = 0;      ///< Planned candidates (adaptive: the budget).
   size_t Quarantined = 0;
 };
 
@@ -135,7 +140,8 @@ struct SweepReport {
   Diagnostic Error;
 };
 
-/// Runs a SweepPlan durably.  The engine must outlive the driver.
+/// Runs plans and adaptive searches durably.  The engine must outlive
+/// the SweepDriver.
 class SweepDriver {
 public:
   SweepDriver(const SearchEngine &Engine, SweepOptions Opts)
@@ -143,9 +149,19 @@ public:
 
   /// Executes the measurement phase of \p Plan under the configured
   /// durability/isolation regime.  Quarantined indices in the outcome are
-  /// sorted (unlike SearchEngine's candidate-order lists) so interrupted
-  /// + resumed runs compare equal to uninterrupted ones.
+  /// sorted (under either run) so interrupted + resumed runs compare
+  /// equal to uninterrupted ones.
   SweepReport run(SweepPlan Plan) const;
+
+  /// Runs an adaptive search: each of \p Cursor's rounds gets statics for
+  /// its new proposals, replays the matching prefix of a resumed journal,
+  /// then measures and commits the rest in proposal order through the
+  /// same journal, isolation and parallel committer as a plan.  Stops
+  /// once \p Budget records (replayed ones included) are journaled or the
+  /// cursor converges.  Candidates lists the successful probes in probe
+  /// order; Evals holds only probed configurations.
+  SweepReport run(SearchCursor &Cursor, std::string Strategy,
+                  uint64_t Budget) const;
 
 private:
   const SearchEngine &Engine;

@@ -266,36 +266,24 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
     return Expired() || sweepForceQuitRequested();
   };
 
+  SOpts.Isolate = Opts.Isolate;
+
   SweepReport Rep;
   if (serveStrategyIsPlannable(Req)) {
     SweepPlan Plan = planForRequest(*E->Eng, Req, Opts.Jobs);
     Job->Total.store(Plan.Candidates.size(), std::memory_order_relaxed);
-    SOpts.Isolate = Opts.Isolate;
     SOpts.Fingerprint = fingerprintForRequest(*E->App, *E->Eng, Plan, Req);
     Rep = SweepDriver(*E->Eng, SOpts).run(std::move(Plan));
   } else {
     // Adaptive strategies (greedy/anneal/genetic) have no up-front plan;
-    // they run through the cursor executor against the same journal, so
-    // kill+restart recovery replays exactly like the plannable path.
+    // they run whole-job against the same journal, so kill+restart
+    // recovery replays exactly like the plannable path.
     StrategyKind Kind = StrategyKind::Pareto;
     (void)parseStrategy(Req.Strategy, Kind); // Validated at admission.
     Job->Total.store(Req.Budget, std::memory_order_relaxed);
-    JournalHeader H;
-    H.App = std::string(E->App->name());
-    H.Machine = E->Eng->evaluator().machine().Name;
-    H.Strategy = strategyName(Kind);
-    H.Seed = Req.Seed;
-    H.Budget = Req.Budget;
-    H.RawSize = E->App->space().rawSize();
-    H.Space = Req.Space;
-    // No plan to scan for quarantines: lint joins the fingerprint
-    // whenever armed, matching the CLI's adaptive path.
-    H.Extra = std::string(Req.FastBw ? "|fastbw" : "") +
-              (Req.Lint ? "|lint" : "");
-    SOpts.Fingerprint = H;
-    // Isolate is unsupported by the adaptive executor and ignored.
-    Rep = runAdaptiveSweep(*E->Eng, Kind,
-                           strategyOptionsForRequest(Req, Opts.Jobs), SOpts);
+    StrategyOptions SO = strategyOptionsForRequest(Req, Opts.Jobs);
+    SOpts.Fingerprint = sweepFingerprint(*E->Eng, Kind, SO, Req.Space);
+    Rep = runAdaptiveSweep(*E->Eng, Kind, SO, SOpts);
   }
 
   if (Rep.Status == SweepStatus::Error)

@@ -88,29 +88,16 @@ StrategyOptions g80::strategyOptionsForRequest(const TuneRequest &Req,
   return Opts;
 }
 
-JournalHeader g80::fingerprintForRequest(const TunableApp &App,
+JournalHeader g80::fingerprintForRequest(const TunableApp &,
                                          const SearchEngine &Eng,
                                          const SweepPlan &Plan,
                                          const TuneRequest &Req) {
-  JournalHeader H;
-  H.App = std::string(App.name());
-  H.Machine = Eng.evaluator().machine().Name;
-  H.Strategy = Plan.Strategy;
-  H.Seed = Req.Seed;
-  H.Budget = Req.Budget;
-  H.RawSize = App.space().rawSize();
-  H.Space = Req.Space;
-  // Mirrors tune.cpp's fingerprint Extra (inject spec is always empty in
-  // serve/fleet), so the CLI can --resume or report these journals.
-  bool LintQuarantined = false;
-  for (const ConfigEval &Ev : Plan.Evals)
-    if (Ev.failed() && Ev.Failure.At == Stage::Lint) {
-      LintQuarantined = true;
-      break;
-    }
-  H.Extra = std::string(Req.FastBw ? "|fastbw" : "") +
-            (LintQuarantined ? "|lint" : "");
-  return H;
+  StrategyKind Kind = StrategyKind::Pareto;
+  (void)parseStrategy(Req.Strategy, Kind);
+  // The CLI's header (serve and fleet never inject faults), so the CLI
+  // can --resume or report these journals.
+  return sweepFingerprint(Eng, Kind, strategyOptionsForRequest(Req, 1),
+                          Req.Space, &Plan);
 }
 
 uint64_t g80::planFingerprint(const JournalHeader &Header,

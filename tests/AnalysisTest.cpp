@@ -20,6 +20,7 @@
 #include "analysis/Dataflow.h"
 #include "analysis/Lint.h"
 #include "analysis/Verifier.h"
+#include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 #include "kernels/MatMul.h"
 #include "ptx/Builder.h"
@@ -494,7 +495,7 @@ TEST(LintStage, InjectedLintFaultQuarantinesUnderStageLint) {
   LintOptions Lint;
   Lint.Enabled = true;
   SearchEngine Engine(App, gtx(), {}, {}, Plan, Lint);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out = runStrategy(Engine, StrategyKind::Exhaustive).Outcome;
   EXPECT_EQ(Out.FailedPerStage[size_t(Stage::Lint)], 1u);
   ASSERT_EQ(Out.Quarantined.size(), 1u);
   EXPECT_EQ(Out.Evals[Out.Quarantined[0]].FlatIndex, 5u);
@@ -504,7 +505,8 @@ TEST(LintStage, InjectedLintFaultQuarantinesUnderStageLint) {
   // The same plan with the gate disabled never consults the injector at
   // Stage::Lint: --inject lint@N without --lint is inert.
   SearchEngine NoLint(App, gtx(), {}, {}, Plan);
-  EXPECT_TRUE(NoLint.exhaustive().Quarantined.empty());
+  EXPECT_TRUE(runStrategy(NoLint, StrategyKind::Exhaustive)
+                  .Outcome.Quarantined.empty());
 }
 
 TEST(LintStage, CleanSpaceJournalsByteIdenticallyWithTheGate) {

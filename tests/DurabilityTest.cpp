@@ -9,14 +9,15 @@
 // worker transport, the EvalRecord wire format, and SweepDriver end to end
 // — journaled runs equal in-memory runs, the 500-config kill/resume
 // acceptance scenario re-measures nothing, and isolated workers that crash
-// or hang cost exactly the in-flight configuration.
+// or hang cost exactly the in-flight configuration, in planned sweeps and
+// adaptive searches alike.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ToyApps.h"
 
 #include "core/EvalRecord.h"
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "support/FaultInjection.h"
@@ -380,7 +381,7 @@ void expectEqualOutcomes(const SearchOutcome &Got,
 
 TEST(SweepDriverTest, JournaledOutcomeEqualsInMemory) {
   SearchEngine Engine(toy100(), gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want = referenceOutcome(Engine, Engine.planExhaustive());
 
   SweepOptions Opts;
   Opts.JournalPath = tmpPath("drv_plain");
@@ -399,7 +400,7 @@ TEST(SweepDriverTest, IsolatedOutcomeEqualsInMemory) {
   if (!subprocessSupported())
     GTEST_SKIP() << "no fork on this platform";
   SearchEngine Engine(toy100(), gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want = referenceOutcome(Engine, Engine.planExhaustive());
 
   SweepOptions Opts;
   Opts.Isolate = true;
@@ -453,7 +454,8 @@ TEST(SweepDriverTest, IsolatedCrashAndHangQuarantineOnlyVictims) {
   Plan.Actions.push_back({7, FaultAction::Crash});
   Plan.Actions.push_back({13, FaultAction::Hang});
   SearchEngine Engine(toy100(), gtx(), {}, {}, Plan);
-  SearchOutcome Base = SearchEngine(toy100(), gtx()).exhaustive();
+  SearchEngine Plain(toy100(), gtx());
+  SearchOutcome Base = referenceOutcome(Plain, Plain.planExhaustive());
 
   SweepOptions Opts;
   Opts.Isolate = true;
@@ -519,7 +521,7 @@ TEST(SweepDriverTest, RealAppJournaledResumeMatchesPlain) {
   // ten records, must resume to the in-memory outcome.
   CpApp App(CpProblem::bench());
   SearchEngine Engine(App, gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want = referenceOutcome(Engine, Engine.planExhaustive());
 
   std::string Path = tmpPath("cp_resume");
   SweepOptions Opts;
@@ -543,6 +545,130 @@ TEST(SweepDriverTest, RealAppJournaledResumeMatchesPlain) {
   ASSERT_EQ(Res.Status, SweepStatus::Completed);
   EXPECT_EQ(Res.ResumedSkipped, 10u);
   expectEqualOutcomes(Res.Outcome, Want);
+}
+
+//===--- Adaptive searches under isolation ---------------------------------===//
+
+/// Journal lines of \p Path, header first.
+std::vector<std::string> journalLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  return Lines;
+}
+
+/// An anneal search of the toy space (two chains, 32 probes).
+SweepReport annealToy(const SearchEngine &Engine, const std::string &Path,
+                      bool Isolate, const std::string &Inject,
+                      bool Resume = false, size_t InterruptAfter = 0) {
+  StrategyOptions SO;
+  SO.Seed = 5;
+  SO.Budget = 32;
+  SweepOptions Opts;
+  Opts.JournalPath = Path;
+  Opts.Resume = Resume;
+  Opts.Isolate = Isolate;
+  Opts.TaskTimeoutSeconds = 5;
+  Opts.RetryBackoff.InitialSeconds = 0.01;
+  Opts.InterruptAfterRecords = InterruptAfter;
+  Opts.Fingerprint = sweepFingerprint(Engine, StrategyKind::Anneal, SO,
+                                      "small", nullptr, Inject);
+  return runAdaptiveSweep(Engine, StrategyKind::Anneal, SO, Opts);
+}
+
+/// A toy engine whose only fault is a worker crash at the third
+/// configuration the uninjected anneal search probes.
+struct CrashedAnneal {
+  bool Found = false;
+  uint64_t Victim = 0;
+  std::string Inject;
+  FaultPlan Plan;
+
+  CrashedAnneal() {
+    SearchEngine Plain(toy100(), gtx());
+    SweepReport Rep = annealToy(Plain, "", false, "");
+    const SearchOutcome &Out = Rep.Outcome;
+    Found = Out.Candidates.size() > 2;
+    if (Found)
+      Victim = Out.Evals[Out.Candidates[2]].FlatIndex;
+    Inject = "crash@" + std::to_string(Victim);
+    Plan.Actions.push_back({Victim, FaultAction::Crash});
+  }
+};
+
+TEST(AdaptiveIsolation, CrashedProbeIsRetriedThenQuarantined) {
+  if (!subprocessSupported())
+    GTEST_SKIP() << "no fork on this platform";
+  clearSweepInterrupt();
+  CrashedAnneal C;
+  ASSERT_TRUE(C.Found);
+  SearchEngine Engine(toy100(), gtx(), {}, {}, C.Plan);
+
+  std::string InProcess = tmpPath("anneal_inproc");
+  std::string Isolated = tmpPath("anneal_iso");
+  SweepReport Want = annealToy(Engine, InProcess, false, C.Inject);
+  SweepReport Got = annealToy(Engine, Isolated, true, C.Inject);
+  ASSERT_EQ(Want.Status, SweepStatus::Completed);
+  ASSERT_EQ(Got.Status, SweepStatus::Completed);
+  EXPECT_FALSE(Got.DegradedInProcess);
+
+  // The victim crashed its worker twice: one retry, then quarantine.
+  EXPECT_EQ(Got.WorkerRetries, 1u);
+  ASSERT_EQ(Got.Outcome.Quarantined.size(), 1u);
+  const ConfigEval &E = Got.Outcome.Evals[Got.Outcome.Quarantined[0]];
+  EXPECT_EQ(E.FlatIndex, C.Victim);
+  EXPECT_EQ(E.Failure.Code, ErrorCode::WorkerCrashed);
+  EXPECT_NE(E.Failure.Message.find("after 2 attempts"), std::string::npos)
+      << E.Failure.Message;
+
+  // Same probes in the same order.  Only the victim's record differs from
+  // the in-process run's, whose diagnostic says the crash was simulated.
+  EXPECT_EQ(Got.Outcome.Candidates, Want.Outcome.Candidates);
+  std::vector<std::string> A = journalLines(InProcess);
+  std::vector<std::string> B = journalLines(Isolated);
+  ASSERT_EQ(A.size(), B.size());
+  ASSERT_GT(A.size(), 3u);
+  size_t Differ = 0;
+  for (size_t I = 0; I != A.size(); ++I) {
+    if (A[I] == B[I])
+      continue;
+    ++Differ;
+    EXPECT_NE(B[I].find("\"idx\":" + std::to_string(C.Victim) + ","),
+              std::string::npos)
+        << B[I];
+  }
+  EXPECT_EQ(Differ, 1u);
+}
+
+TEST(AdaptiveIsolation, KillAndResumeMatchesUninterruptedRun) {
+  if (!subprocessSupported())
+    GTEST_SKIP() << "no fork on this platform";
+  clearSweepInterrupt();
+  CrashedAnneal C;
+  SearchEngine Engine(toy100(), gtx(), {}, {}, C.Plan);
+
+  std::string Straight = tmpPath("anneal_iso_straight");
+  ASSERT_EQ(annealToy(Engine, Straight, true, C.Inject).Status,
+            SweepStatus::Completed);
+
+  // Interrupt after five records (as SIGTERM would), then resume, both
+  // isolated.
+  std::string Killed = tmpPath("anneal_iso_killed");
+  SweepReport Cut = annealToy(Engine, Killed, true, C.Inject,
+                              /*Resume=*/false, /*InterruptAfter=*/5);
+  clearSweepInterrupt();
+  ASSERT_EQ(Cut.Status, SweepStatus::Interrupted);
+  SweepReport Res =
+      annealToy(Engine, Killed, true, C.Inject, /*Resume=*/true);
+  ASSERT_EQ(Res.Status, SweepStatus::Completed);
+  EXPECT_GE(Res.ResumedSkipped, 5u);
+  // The victim (the third record) crashed a worker, was retried once and
+  // quarantined before the cut; the resumed run restores that from the
+  // journal instead of forking for it again.
+  EXPECT_EQ(Cut.WorkerRetries, 1u);
+  EXPECT_EQ(Res.WorkerRetries, 0u);
+  EXPECT_EQ(slurp(Killed), slurp(Straight));
 }
 
 //===--- Signal semantics: graceful drain vs force-quit escalation --------===//
@@ -589,8 +715,9 @@ TEST(SweepSignalsTest, InterruptedSweepDrainsGracefully) {
   Opts.JournalPath = tmpPath("sig_drain");
   Opts.Fingerprint = toyFp(toy100());
   Opts.OnProgress = [&](const SweepProgress &) {
-    if (++Committed == 3)
+    if (++Committed == 3) {
       ASSERT_EQ(raise(SIGINT), 0);
+    }
   };
   SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
   EXPECT_EQ(Rep.Status, SweepStatus::Interrupted);

@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Lint.h"
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -52,6 +52,10 @@ std::vector<AppCase> makeApps() {
   return Apps;
 }
 
+SearchOutcome search(const SearchEngine &Engine, StrategyKind Kind) {
+  return runStrategy(Engine, Kind).Outcome;
+}
+
 class HeadlineClaim : public ::testing::TestWithParam<size_t> {
 protected:
   static std::vector<AppCase> &apps() {
@@ -63,8 +67,8 @@ protected:
 TEST_P(HeadlineClaim, ParetoSubsetContainsTheOptimum) {
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full = search(Engine, StrategyKind::Exhaustive);
+  SearchOutcome Pruned = search(Engine, StrategyKind::Pareto);
 
   // §5.2: "For all benchmarks, the Pareto-optimal subset contains the
   // best configuration found by exhaustive search."
@@ -85,8 +89,8 @@ TEST_P(HeadlineClaim, ParetoSubsetContainsTheOptimum) {
 TEST_P(HeadlineClaim, PrunedEvaluationIsMuchCheaper) {
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full = search(Engine, StrategyKind::Exhaustive);
+  SearchOutcome Pruned = search(Engine, StrategyKind::Pareto);
   EXPECT_LT(Pruned.TotalMeasuredSeconds, 0.5 * Full.TotalMeasuredSeconds)
       << C.Name;
 }
@@ -96,7 +100,7 @@ TEST_P(HeadlineClaim, PerformanceSpreadIsLarge) {
   // for MRI); pruning matters because picking badly is expensive.
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full = search(Engine, StrategyKind::Exhaustive);
   double Worst = 0;
   for (size_t I : Full.Candidates)
     Worst = std::max(Worst, Full.Evals[I].TimeSeconds);
@@ -143,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(AllApps, HeadlineClaim,
 TEST(MriClusters, InClusterSpreadIsSmall) {
   MriFhdApp App(MriProblem::bench());
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full = search(Engine, StrategyKind::Exhaustive);
 
   // Group the measured configs by (tpb, unroll): each group is one §5.2
   // metric cluster across the 7 work values.
@@ -175,17 +179,18 @@ TEST(MriClusters, InClusterSpreadIsSmall) {
 TEST(BandwidthScreen, MatMulOptimumSurvivesScreening) {
   MatMulApp App(MatMulProblem::bench());
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full = search(Engine, StrategyKind::Exhaustive);
   ParetoOptions Screen;
   Screen.ScreenBandwidthBound = true;
-  SearchOutcome Screened = Engine.paretoPruned(Screen);
+  SearchOutcome Screened =
+      SweepDriver(Engine, {}).run(Engine.planPareto(Screen)).Outcome;
   EXPECT_DOUBLE_EQ(Screened.BestTime, Full.BestTime);
   // Every screened candidate is genuinely not bandwidth-bound; the
   // unscreened curve (the paper's Fig. 6(a)) contains bandwidth-bound
   // 8x8 configurations.
   for (size_t I : Screened.Candidates)
     EXPECT_FALSE(Screened.Evals[I].Metrics.bandwidthBound());
-  SearchOutcome Unscreened = Engine.paretoPruned();
+  SearchOutcome Unscreened = search(Engine, StrategyKind::Pareto);
   bool AnyBound = false;
   for (size_t I : Unscreened.Candidates)
     AnyBound = AnyBound || Unscreened.Evals[I].Metrics.bandwidthBound();

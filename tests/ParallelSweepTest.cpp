@@ -328,7 +328,8 @@ TEST(ParallelSweep, JobsWarnedAndIgnoredUnderIsolation) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("--jobs is ignored with --isolate") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  expectEqualOutcomes(Rep.Outcome,
+                      referenceOutcome(Engine, Engine.planExhaustive()));
 }
 
 //===--- Shard clamping ---------------------------------------------------------//
@@ -347,7 +348,8 @@ TEST(ShardClamping, OversubscribedShardIsCappedWithWarning) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("capping the shard size") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  expectEqualOutcomes(Rep.Outcome,
+                      referenceOutcome(Engine, Engine.planExhaustive()));
 }
 
 TEST(ShardClamping, ZeroShardBecomesOneWithWarning) {
@@ -365,7 +367,8 @@ TEST(ShardClamping, ZeroShardBecomesOneWithWarning) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("--shard 0 is invalid") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  expectEqualOutcomes(Rep.Outcome,
+                      referenceOutcome(Engine, Engine.planExhaustive()));
 }
 
 //===--- Bandwidth fast path ----------------------------------------------------//

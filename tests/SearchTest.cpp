@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 
 #include "kernels/MatMul.h"
 
@@ -27,8 +27,19 @@ const SearchEngine &engine() {
   return Engine;
 }
 
+/// Runs \p Kind to completion on the shared engine.
+SearchOutcome search(StrategyKind Kind, uint64_t Budget = 16,
+                     uint64_t Seed = 1) {
+  StrategyOptions Opts;
+  Opts.Budget = Budget;
+  Opts.Seed = Seed;
+  SweepReport Rep = runStrategy(engine(), Kind, Opts);
+  EXPECT_EQ(Rep.Status, SweepStatus::Completed);
+  return std::move(Rep.Outcome);
+}
+
 TEST(Search, ExhaustiveMeasuresEveryUsableConfig) {
-  SearchOutcome Out = engine().exhaustive();
+  SearchOutcome Out = search(StrategyKind::Exhaustive);
   EXPECT_EQ(Out.Candidates.size(), Out.ValidCount);
   for (size_t I : Out.Candidates) {
     EXPECT_TRUE(Out.Evals[I].usable());
@@ -39,7 +50,7 @@ TEST(Search, ExhaustiveMeasuresEveryUsableConfig) {
 }
 
 TEST(Search, BestIndexIsConsistent) {
-  SearchOutcome Out = engine().exhaustive();
+  SearchOutcome Out = search(StrategyKind::Exhaustive);
   ASSERT_LT(Out.BestIndex, Out.Evals.size());
   for (size_t I : Out.Candidates)
     EXPECT_GE(Out.Evals[I].TimeSeconds, Out.BestTime);
@@ -47,7 +58,7 @@ TEST(Search, BestIndexIsConsistent) {
 }
 
 TEST(Search, ParetoPrunedIsSubsetOfUsable) {
-  SearchOutcome Out = engine().paretoPruned();
+  SearchOutcome Out = search(StrategyKind::Pareto);
   EXPECT_LT(Out.Candidates.size(), Out.ValidCount);
   for (size_t I : Out.Candidates)
     EXPECT_TRUE(Out.Evals[I].usable());
@@ -65,15 +76,15 @@ TEST(Search, ParetoFindsNearOptimum) {
   // this failure mode); the curve still lands close.  The exact
   // found-the-optimum claim is asserted at bench scale in
   // IntegrationTest.
-  SearchOutcome Full = engine().exhaustive();
-  SearchOutcome Pruned = engine().paretoPruned();
+  SearchOutcome Full = search(StrategyKind::Exhaustive);
+  SearchOutcome Pruned = search(StrategyKind::Pareto);
   EXPECT_LE(Pruned.BestTime, Full.BestTime * 1.25);
   EXPECT_LT(Pruned.TotalMeasuredSeconds, Full.TotalMeasuredSeconds);
 }
 
 TEST(Search, ClusteredSelectsAtMostOnePerCluster) {
-  SearchOutcome Pruned = engine().paretoPruned();
-  SearchOutcome Clustered = engine().paretoClustered();
+  SearchOutcome Pruned = search(StrategyKind::Pareto);
+  SearchOutcome Clustered = search(StrategyKind::Cluster);
   EXPECT_LE(Clustered.Candidates.size(), Pruned.Candidates.size());
   EXPECT_GE(Clustered.Candidates.size(), 1u);
   // Clustered candidates are a subset of the pruned candidates.
@@ -83,15 +94,15 @@ TEST(Search, ClusteredSelectsAtMostOnePerCluster) {
 }
 
 TEST(Search, RandomSampleDeterministicPerSeed) {
-  SearchOutcome A = engine().randomSample(10, 42);
-  SearchOutcome B = engine().randomSample(10, 42);
-  SearchOutcome C = engine().randomSample(10, 43);
+  SearchOutcome A = search(StrategyKind::Random, 10, 42);
+  SearchOutcome B = search(StrategyKind::Random, 10, 42);
+  SearchOutcome C = search(StrategyKind::Random, 10, 43);
   EXPECT_EQ(A.Candidates, B.Candidates);
   EXPECT_NE(A.Candidates, C.Candidates);
 }
 
 TEST(Search, RandomSampleDrawsDistinctUsable) {
-  SearchOutcome Out = engine().randomSample(20, 7);
+  SearchOutcome Out = search(StrategyKind::Random, 20, 7);
   EXPECT_EQ(Out.Candidates.size(), 20u);
   EXPECT_TRUE(std::is_sorted(Out.Candidates.begin(), Out.Candidates.end()));
   EXPECT_TRUE(std::adjacent_find(Out.Candidates.begin(),
@@ -102,72 +113,72 @@ TEST(Search, RandomSampleDrawsDistinctUsable) {
 }
 
 TEST(Search, RandomSampleCapsAtSpaceSize) {
-  SearchOutcome Out = engine().randomSample(100000, 3);
+  SearchOutcome Out = search(StrategyKind::Random, 100000, 3);
   EXPECT_EQ(Out.Candidates.size(), Out.ValidCount);
 }
 
 TEST(Search, RandomSampleNeverBeatsExhaustive) {
-  SearchOutcome Full = engine().exhaustive();
+  SearchOutcome Full = search(StrategyKind::Exhaustive);
   for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    SearchOutcome R = engine().randomSample(10, Seed);
+    SearchOutcome R = search(StrategyKind::Random, 10, Seed);
     EXPECT_GE(R.BestTime, Full.BestTime);
   }
 }
 
 TEST(Search, SpaceReductionArithmetic) {
-  SearchOutcome Out = engine().paretoPruned();
+  SearchOutcome Out = search(StrategyKind::Pareto);
   double Expected =
       1.0 - double(Out.Candidates.size()) / double(Out.ValidCount);
   EXPECT_DOUBLE_EQ(Out.spaceReduction(), Expected);
 }
 
 TEST(Search, StrategyNamesSet) {
-  EXPECT_EQ(engine().paretoPruned().Strategy, "pareto");
-  EXPECT_EQ(engine().randomSample(1, 1).Strategy, "random");
-  EXPECT_EQ(engine().paretoClustered().Strategy, "pareto+cluster");
+  EXPECT_EQ(search(StrategyKind::Pareto).Strategy, "pareto");
+  EXPECT_EQ(search(StrategyKind::Random, 1, 1).Strategy, "random");
+  EXPECT_EQ(search(StrategyKind::Cluster).Strategy, "pareto+cluster");
 }
 
 } // namespace
 
-// NOTE: appended greedy-climb coverage (kept in this file so the shared
-// engine() fixture is reused).
+// Greedy coverage, kept in this file so the shared engine() fixture is
+// reused.
 namespace {
 
 TEST(Greedy, DeterministicPerSeed) {
-  SearchOutcome A = engine().greedyClimb(20, 5);
-  SearchOutcome B = engine().greedyClimb(20, 5);
+  SearchOutcome A = search(StrategyKind::Greedy, 20, 5);
+  SearchOutcome B = search(StrategyKind::Greedy, 20, 5);
   EXPECT_EQ(A.Candidates, B.Candidates);
   EXPECT_DOUBLE_EQ(A.BestTime, B.BestTime);
 }
 
 TEST(Greedy, RespectsBudget) {
-  SearchOutcome Out = engine().greedyClimb(5, 11);
+  SearchOutcome Out = search(StrategyKind::Greedy, 5, 11);
   EXPECT_LE(Out.Candidates.size(), 5u);
   EXPECT_GE(Out.Candidates.size(), 1u);
   EXPECT_EQ(Out.Strategy, "greedy");
 }
 
 TEST(Greedy, CandidatesAreUsableAndMeasured) {
-  SearchOutcome Out = engine().greedyClimb(30, 2);
+  SearchOutcome Out = search(StrategyKind::Greedy, 30, 2);
   for (size_t I : Out.Candidates) {
     EXPECT_TRUE(Out.Evals[I].usable());
     EXPECT_TRUE(Out.Evals[I].Measured);
   }
-  EXPECT_TRUE(std::is_sorted(Out.Candidates.begin(), Out.Candidates.end()));
 }
 
 TEST(Greedy, NeverBeatsExhaustive) {
-  SearchOutcome Full = engine().exhaustive();
+  SearchOutcome Full = search(StrategyKind::Exhaustive);
   for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
-    SearchOutcome G = engine().greedyClimb(40, Seed);
+    SearchOutcome G = search(StrategyKind::Greedy, 40, Seed);
     EXPECT_GE(G.BestTime, Full.BestTime);
   }
 }
 
 TEST(Greedy, ReachesALocalOptimumUnderLargeBudget) {
-  // With an unbounded budget the walk ends at a configuration none of
-  // whose measured one-step neighbors is faster.
-  SearchOutcome Out = engine().greedyClimb(100000, 9);
+  // With an unbounded budget the climb (restarting at every local
+  // optimum) ends at a best configuration none of whose measured
+  // one-step neighbors is faster.
+  SearchOutcome Out = search(StrategyKind::Greedy, 100000, 9);
   ASSERT_LT(Out.BestIndex, Out.Evals.size());
   const ConfigSpace &S = app().space();
   const ConfigPoint &BestP = Out.Evals[Out.BestIndex].Point;

@@ -8,13 +8,16 @@
 // configuration, so the whole raw space is a candidate set and injected or
 // simulated failures are the only source of quarantine.  Shared between
 // FaultToleranceTest (quarantine semantics) and DurabilityTest (journal,
-// resume, isolation) so both exercise the exact same space.
+// resume, isolation) so both exercise the exact same space.  Also holds
+// referenceOutcome, the measurement oracle those tests compare SweepDriver
+// runs against.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef G80TUNE_TESTS_TOYAPPS_H
 #define G80TUNE_TESTS_TOYAPPS_H
 
+#include "core/Search.h"
 #include "core/TunableApp.h"
 #include "emu/Emulator.h"
 #include "ptx/Builder.h"
@@ -79,6 +82,26 @@ public:
 private:
   ConfigSpace Space;
 };
+
+/// The test oracle for SweepDriver runs: measures \p Plan's candidates in
+/// plan order with nothing but the evaluator — no journal, isolation,
+/// worker pool or committer — so SweepDriver is checked against code
+/// that shares none of its machinery.
+inline SearchOutcome referenceOutcome(const SearchEngine &Engine,
+                                      SweepPlan Plan) {
+  SearchOutcome Out = SearchOutcome::fromPlan(std::move(Plan));
+  for (size_t Idx : Out.Candidates) {
+    ConfigEval &E = Out.Evals[Idx];
+    if (!Engine.evaluator().measure(E)) {
+      // Quarantine and keep sweeping: one bad configuration must not take
+      // the whole search down.
+      Out.noteQuarantined(Idx);
+      continue;
+    }
+    Out.noteMeasured(Idx);
+  }
+  return Out;
+}
 
 } // namespace g80
 

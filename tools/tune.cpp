@@ -350,6 +350,54 @@ void printSearchSummary(const TunableApp &App, const MachineModel &Machine,
   }
 }
 
+/// `tune search --progress`: a throttled status line on stderr, redrawn in
+/// place after committed records.  finish() draws the last observation
+/// and ends the line however the run ended: complete, interrupted, or an
+/// adaptive search that converged short of its budget.
+class ProgressLine {
+public:
+  void update(const SweepProgress &P) {
+    Last = P;
+    Seen = true;
+    Clock::time_point Now = Clock::now();
+    if (Now - LastDraw < std::chrono::milliseconds(100))
+      return; // Throttle: a fast sweep would otherwise spam stderr.
+    LastDraw = Now;
+    draw(/*Final=*/false);
+  }
+
+  void finish() {
+    if (!Seen)
+      return;
+    draw(/*Final=*/true);
+    std::cerr << "\n" << std::flush;
+    Seen = false;
+  }
+
+private:
+  using Clock = std::chrono::steady_clock;
+
+  void draw(bool Final) {
+    double Elapsed =
+        std::chrono::duration<double>(Clock::now() - Start).count();
+    double Rate = Elapsed > 0 ? double(Last.FreshDone) / Elapsed : 0;
+    std::cerr << "\r  " << Last.Done << "/" << Last.Total << " configs  "
+              << fmtDouble(Rate, 1) << "/s";
+    if (!Final && Rate > 0)
+      std::cerr << "  ETA "
+                << fmtDouble(double(Last.Total - Last.Done) / Rate, 0)
+                << "s";
+    if (Last.Quarantined != 0)
+      std::cerr << "  quarantined " << Last.Quarantined;
+    std::cerr << "   " << std::flush;
+  }
+
+  Clock::time_point Start = Clock::now();
+  Clock::time_point LastDraw = Start - std::chrono::hours(1);
+  SweepProgress Last;
+  bool Seen = false;
+};
+
 int cmdSearch(std::map<std::string, std::string> Flags) {
   SpaceTier Tier = SpaceTier::Small;
   if (!spaceFlag(Flags, Tier))
@@ -452,28 +500,11 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
 
   // Live status line on stderr.  Observation only — it runs on the
   // committer thread after each record and cannot perturb results.
-  if (Flags.count("progress")) {
-    using Clock = std::chrono::steady_clock;
-    auto Start = Clock::now();
-    auto LastDraw = Start - std::chrono::hours(1);
-    SOpts.OnProgress = [Start, LastDraw](const SweepProgress &P) mutable {
-      auto Now = Clock::now();
-      bool Final = P.Done == P.Total;
-      if (!Final && Now - LastDraw < std::chrono::milliseconds(100))
-        return; // Throttle: a fast sweep would otherwise spam stderr.
-      LastDraw = Now;
-      double Elapsed = std::chrono::duration<double>(Now - Start).count();
-      double Rate = Elapsed > 0 ? double(P.FreshDone) / Elapsed : 0;
-      size_t Left = P.Total - P.Done;
-      std::cerr << "\r  " << P.Done << "/" << P.Total << " configs  "
-                << fmtDouble(Rate, 1) << "/s";
-      if (Rate > 0)
-        std::cerr << "  ETA " << fmtDouble(double(Left) / Rate, 0) << "s";
-      if (P.Quarantined != 0)
-        std::cerr << "  quarantined " << P.Quarantined;
-      std::cerr << "   " << (Final ? "\n" : "") << std::flush;
+  ProgressLine Progress;
+  if (Flags.count("progress"))
+    SOpts.OnProgress = [&Progress](const SweepProgress &P) {
+      Progress.update(P);
     };
-  }
 
   StrategyKind Kind;
   if (!parseStrategy(Strategy, Kind)) {
@@ -485,55 +516,24 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   StratO.Budget = Budget;
   StratO.Jobs = unsigned(Jobs);
 
-  SOpts.Fingerprint.App = std::string(App->name());
-  SOpts.Fingerprint.Machine = Machine.Name;
-  SOpts.Fingerprint.Seed = Seed;
-  SOpts.Fingerprint.Budget = Budget;
-  SOpts.Fingerprint.RawSize = App->space().rawSize();
-  SOpts.Fingerprint.Space = spaceTierName(Tier);
-
+  // Adaptive strategies (greedy/anneal/genetic) have no plan: they
+  // regenerate their probe sequence deterministically, so they journal
+  // and resume like a plan does.
+  bool Plannable = strategyIsPlannable(Kind);
+  SweepPlan Plan;
+  if (Plannable)
+    Plan = planForStrategy(Engine, Kind, StratO);
+  SOpts.Fingerprint =
+      sweepFingerprint(Engine, Kind, StratO, spaceTierName(Tier),
+                       Plannable ? &Plan : nullptr, InjectSpec);
   SweepReport Rep;
-  if (!strategyIsPlannable(Kind)) {
-    // Adaptive strategies (greedy/anneal/genetic) regenerate their probe
-    // sequence deterministically, so they journal and resume through
-    // runAdaptiveSweep.  Fork isolation is not supported there.
-    if (SOpts.Isolate)
-      std::cerr << "warning: --isolate is not supported with adaptive "
-                   "strategies; running in-process\n";
-    SOpts.Fingerprint.Strategy = strategyName(Kind);
-    // The fast path changes measured results, so it is part of the
-    // resume fingerprint.  Adaptive sweeps evaluate statics lazily, so
-    // the lint gate joins the fingerprint whenever it is armed rather
-    // than only when it fires (the plannable refinement below needs the
-    // full static table up front).
-    SOpts.Fingerprint.Extra = InjectSpec + (FastBw ? "|fastbw" : "") +
-                              (Lint ? "|lint" : "");
+  {
     clearSweepInterrupt();
     ScopedSweepSignalHandlers Guard;
-    Rep = runAdaptiveSweep(Engine, Kind, StratO, SOpts);
-  } else {
-    SweepPlan Plan = planForStrategy(Engine, Kind, StratO);
-    SOpts.Fingerprint.Strategy = Plan.Strategy;
-    // The fast path changes measured results, so it is part of the
-    // resume fingerprint: a --fast-bw journal cannot silently resume a
-    // full-simulation sweep or vice versa.  The lint gate joins it only
-    // when it actually quarantined something: a clean space journals
-    // byte-identically with or without --lint, but a journal carrying
-    // lint quarantines must not silently resume a non-lint sweep.
-    bool LintQuarantined = false;
-    for (const ConfigEval &E : Plan.Evals)
-      if (E.failed() && E.Failure.At == Stage::Lint) {
-        LintQuarantined = true;
-        break;
-      }
-    SOpts.Fingerprint.Extra = InjectSpec + (FastBw ? "|fastbw" : "") +
-                              (LintQuarantined ? "|lint" : "");
-
-    SweepDriver Driver(Engine, SOpts);
-    clearSweepInterrupt();
-    ScopedSweepSignalHandlers Guard;
-    Rep = Driver.run(std::move(Plan));
+    Rep = Plannable ? SweepDriver(Engine, SOpts).run(std::move(Plan))
+                    : runAdaptiveSweep(Engine, Kind, StratO, SOpts);
   }
+  Progress.finish();
   for (const std::string &W : Rep.Warnings)
     std::cerr << "warning: " << W << "\n";
   if (Rep.Status == SweepStatus::Error) {
