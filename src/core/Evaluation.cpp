@@ -12,6 +12,7 @@
 #include "support/Trace.h"
 
 #include <cassert>
+#include <numeric>
 
 using namespace g80;
 
@@ -97,37 +98,9 @@ void Evaluator::evaluateOne(ConfigEval &E) const {
 }
 
 std::vector<ConfigEval> Evaluator::evaluateMetrics(unsigned Jobs) const {
-  {
-    std::lock_guard<std::mutex> L(CacheM);
-    if (MetricsMemo)
-      return *MetricsMemo;
-  }
-
-  const ConfigSpace &Space = App.space();
-  uint64_t Raw = Space.rawSize();
-
-  std::vector<ConfigEval> Evals(Raw);
-  for (uint64_t I = 0; I != Raw; ++I)
-    Evals[I].FlatIndex = I;
-
-  if (Jobs > 1 && Raw > 1) {
-    ThreadPool Pool(std::min<uint64_t>(Jobs, Raw));
-    // Chunk to amortize dispatch; each index writes only its own slot, so
-    // the result is identical to the serial loop below.
-    size_t Grain = std::max<size_t>(1, Raw / (size_t(Pool.size()) * 8));
-    parallelFor(Pool, Raw, Grain,
-                [&](size_t I) { evaluateOne(Evals[I]); });
-  } else {
-    for (uint64_t I = 0; I != Raw; ++I)
-      evaluateOne(Evals[I]);
-  }
-
-  {
-    std::lock_guard<std::mutex> L(CacheM);
-    if (!MetricsMemo)
-      MetricsMemo = std::make_shared<const std::vector<ConfigEval>>(Evals);
-  }
-  return Evals;
+  std::vector<uint64_t> All(App.space().rawSize());
+  std::iota(All.begin(), All.end(), uint64_t(0));
+  return evaluateSubset(All, Jobs);
 }
 
 std::vector<uint64_t> Evaluator::expressibleIndices() const {
@@ -150,38 +123,41 @@ std::vector<uint64_t> Evaluator::expressibleIndices() const {
   return *ExpressibleMemo;
 }
 
-ConfigEval Evaluator::evaluateAt(uint64_t FlatIndex) const {
-  {
-    std::lock_guard<std::mutex> L(CacheM);
-    auto It = PointMemo.find(FlatIndex);
-    if (It != PointMemo.end())
-      return It->second;
-  }
-
-  ConfigEval E;
-  E.FlatIndex = FlatIndex;
-  evaluateOne(E);
-
-  std::lock_guard<std::mutex> L(CacheM);
-  auto [It, Inserted] = PointMemo.emplace(FlatIndex, std::move(E));
-  (void)Inserted;
-  return It->second;
-}
-
 std::vector<ConfigEval>
 Evaluator::evaluateSubset(const std::vector<uint64_t> &Indices,
                           unsigned Jobs) const {
   std::vector<ConfigEval> Evals(Indices.size());
-  if (Jobs > 1 && Indices.size() > 1) {
-    ThreadPool Pool(std::min<uint64_t>(Jobs, Indices.size()));
-    size_t Grain =
-        std::max<size_t>(1, Indices.size() / (size_t(Pool.size()) * 8));
-    parallelFor(Pool, Indices.size(), Grain,
-                [&](size_t I) { Evals[I] = evaluateAt(Indices[I]); });
-  } else {
-    for (size_t I = 0; I != Indices.size(); ++I)
-      Evals[I] = evaluateAt(Indices[I]);
+  std::vector<size_t> Misses; // Positions in Evals still to compute.
+  {
+    std::lock_guard<std::mutex> L(CacheM);
+    for (size_t I = 0; I != Indices.size(); ++I) {
+      auto It = PointMemo.find(Indices[I]);
+      if (It != PointMemo.end()) {
+        Evals[I] = It->second;
+      } else {
+        Evals[I].FlatIndex = Indices[I];
+        Misses.push_back(I);
+      }
+    }
   }
+
+  // Each miss writes only its own slot, so the result is identical to the
+  // serial loop for any job count.
+  auto Fill = [&](size_t M) { evaluateOne(Evals[Misses[M]]); };
+  if (Jobs > 1 && Misses.size() > 1) {
+    ThreadPool Pool(std::min<uint64_t>(Jobs, Misses.size()));
+    // Chunk to amortize dispatch.
+    size_t Grain =
+        std::max<size_t>(1, Misses.size() / (size_t(Pool.size()) * 8));
+    parallelFor(Pool, Misses.size(), Grain, Fill);
+  } else {
+    for (size_t M = 0; M != Misses.size(); ++M)
+      Fill(M);
+  }
+
+  std::lock_guard<std::mutex> L(CacheM);
+  for (size_t M : Misses)
+    PointMemo.emplace(Evals[M].FlatIndex, Evals[M]);
   return Evals;
 }
 

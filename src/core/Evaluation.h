@@ -75,16 +75,11 @@ public:
         LOpts(LOpts), Inject(std::move(Faults)) {}
 
   /// Enumerates the full space and computes static metrics for every
-  /// expressible configuration.  No simulation happens here.  Verification
-  /// failures (and injected parse/verify/estimate faults) mark the entry
-  /// failed() with a stage-tagged diagnostic; the sweep continues.
-  ///
-  /// With \p Jobs > 1 the per-configuration work is spread across a
-  /// work-stealing pool; every configuration is computed independently
-  /// into its own slot, so the result is identical for any job count.
-  /// The full result vector is memoized (keyed by nothing — it depends
-  /// only on the evaluator's immutable state), so strategy planning and
-  /// benchmarks stop recomputing the same metrics; callers get a copy.
+  /// expressible configuration: evaluateSubset over the flat indices
+  /// [0, rawSize), so position == flat index.  No simulation happens here.
+  /// Verification failures (and injected parse/verify/estimate faults)
+  /// mark the entry failed() with a stage-tagged diagnostic; the sweep
+  /// continues.
   std::vector<ConfigEval> evaluateMetrics(unsigned Jobs = 1) const;
 
   /// Flat indices of every expressible configuration, in enumeration
@@ -93,15 +88,13 @@ public:
   /// paying for full static evaluation.
   std::vector<uint64_t> expressibleIndices() const;
 
-  /// Static metrics for one flat index, memoized per point.  The adaptive
-  /// strategies' probe primitive: a greedy walk or annealing chain touches
-  /// a vanishing fraction of a large space, and revisits are free.
-  ConfigEval evaluateAt(uint64_t FlatIndex) const;
-
-  /// Static metrics for exactly \p Indices, returned in the same order —
-  /// the sparse-space analog of evaluateMetrics for spaces too large to
-  /// scan.  Each result is computed (or recalled) via evaluateAt, so the
-  /// output is identical for any job count.
+  /// Static metrics for exactly \p Indices, returned in the same order.
+  /// Every result is memoized per flat index, so plans, adaptive probes
+  /// and repeated requests share one static pass: indices already
+  /// computed are recalled, and only the misses are computed — across a
+  /// work-stealing pool when \p Jobs > 1.  Each miss is computed
+  /// independently into its own slot, so the output is identical for any
+  /// job count; callers get copies.
   std::vector<ConfigEval> evaluateSubset(const std::vector<uint64_t> &Indices,
                                          unsigned Jobs = 1) const;
 
@@ -140,10 +133,10 @@ private:
   FaultInjector Inject;
 
   /// Memoized results, guarded by CacheM.  The evaluator's inputs are
-  /// immutable after construction, so cached values never go stale.  No
-  /// kernel is kept: memory is O(evaluated points * sizeof(ConfigEval)).
+  /// immutable after construction, so cached values never go stale.
+  /// PointMemo is the one static cache, keyed by flat index.  No kernel
+  /// is kept: memory is O(evaluated points * sizeof(ConfigEval)).
   mutable std::mutex CacheM;
-  mutable std::shared_ptr<const std::vector<ConfigEval>> MetricsMemo;
   mutable std::shared_ptr<const std::vector<uint64_t>> ExpressibleMemo;
   mutable std::unordered_map<uint64_t, ConfigEval> PointMemo;
 };

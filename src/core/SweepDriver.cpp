@@ -19,6 +19,7 @@
 #include <csignal>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -73,6 +74,10 @@ ScopedSweepSignalHandlers::~ScopedSweepSignalHandlers() {
 
 namespace {
 
+/// Total attempts a configuration gets in isolated workers before it is
+/// quarantined: the original try plus one retry.
+constexpr unsigned MaxWorkerAttempts = 2;
+
 Diagnostic sweepError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
 }
@@ -116,11 +121,6 @@ struct DriveState {
   bool stopRequested() const {
     return sweepInterruptRequested() ||
            (Opts.ShouldStop && Opts.ShouldStop());
-  }
-
-  /// Attempts a configuration gets before quarantine (0 acts as 1).
-  unsigned maxAttempts() const {
-    return std::max(1u, Opts.MaxWorkerAttempts);
   }
 
   void warn(std::string Msg) { Rep.Warnings.push_back(std::move(Msg)); }
@@ -227,7 +227,7 @@ struct DriveState {
     ConfigEval &E = out().Evals[Idx];
     E.Failure = makeDiag(Code, Stage::Simulate,
                          Why + " (config #" + std::to_string(E.FlatIndex) +
-                             ", after " + std::to_string(maxAttempts()) +
+                             ", after " + std::to_string(MaxWorkerAttempts) +
                              " attempts)");
     complete(Idx);
   }
@@ -356,7 +356,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
       size_t Victim = Shard[Received];
       unsigned &A = D.Attempts[D.out().Evals[Victim].FlatIndex];
       ++A;
-      if (A < D.maxAttempts()) {
+      if (A < MaxWorkerAttempts) {
         ++D.Rep.WorkerRetries;
         traceCount("sweep.worker_retries");
         Todo.push_front(Victim);
@@ -541,10 +541,10 @@ bool measureBatch(DriveState &D, std::deque<size_t> &Todo) {
 /// Opens the journal, if any, for appending.  On resume, a journal with a
 /// matching fingerprint is reopened past its last valid record, and its
 /// records are returned for replay.
-Expected<std::vector<std::string>> openJournal(DriveState &D) {
+Expected<std::deque<std::string>> openJournal(DriveState &D) {
   const SweepOptions &Opts = D.Opts;
   if (Opts.JournalPath.empty())
-    return std::vector<std::string>{};
+    return std::deque<std::string>{};
   bool Exists = std::ifstream(Opts.JournalPath).good();
   if (!Opts.Resume || !Exists) {
     if (Opts.Resume)
@@ -555,7 +555,7 @@ Expected<std::vector<std::string>> openJournal(DriveState &D) {
     if (!W)
       return W.takeDiag();
     D.Writer = W.takeValue();
-    return std::vector<std::string>{};
+    return std::deque<std::string>{};
   }
   Expected<JournalContents> C = readJournal(Opts.JournalPath);
   if (!C)
@@ -574,7 +574,39 @@ Expected<std::vector<std::string>> openJournal(DriveState &D) {
   if (!W)
     return W.takeDiag();
   D.Writer = W.takeValue();
-  return std::move(C->Records);
+  return std::deque<std::string>(std::make_move_iterator(C->Records.begin()),
+                                 std::make_move_iterator(C->Records.end()));
+}
+
+/// Restores the journaled prefix of \p Order (positions into Evals) from
+/// the front of \p Replay.  The committer journals in work-list order at
+/// any job count and across worker retries, so a resumed journal must
+/// hold that order's prefix; anything else belongs to a different sweep.
+/// Returns how many positions were restored.
+Expected<size_t> replayInOrder(DriveState &D, std::deque<std::string> &Replay,
+                               const std::vector<size_t> &Order) {
+  size_t N = 0;
+  for (; N != Order.size() && !Replay.empty(); ++N) {
+    Expected<EvalRecord> R = EvalRecord::fromJson(Replay.front());
+    if (!R)
+      return R.takeDiag();
+    ConfigEval &E = D.out().Evals[Order[N]];
+    if (R->Index != E.FlatIndex || R->Point != E.Point)
+      return sweepError("journal record for config #" +
+                        std::to_string(R->Index) +
+                        " does not match the regenerated sweep; refusing "
+                        "to resume");
+    Replay.pop_front();
+    R->applyTo(E);
+    D.restore(Order[N]);
+  }
+  return N;
+}
+
+/// The error for records left over once the whole sweep has replayed.
+Diagnostic surplusRecords() {
+  return sweepError("journal holds more records than the sweep replays; "
+                    "refusing to resume");
 }
 
 } // namespace
@@ -585,41 +617,18 @@ SweepReport SweepDriver::run(SweepPlan Plan) const {
   Out = SearchOutcome::fromPlan(std::move(Plan));
   D.Total = Out.Candidates.size();
 
-  std::unordered_set<uint64_t> CandidateFlat;
-  for (size_t Idx : Out.Candidates)
-    CandidateFlat.insert(Out.Evals[Idx].FlatIndex);
+  // A plan replays the journaled prefix of its candidates.
+  Expected<std::deque<std::string>> Replay = openJournal(D);
+  if (!Replay)
+    return D.fail(Replay.takeDiag());
+  Expected<size_t> Replayed = replayInOrder(D, *Replay, Out.Candidates);
+  if (!Replayed)
+    return D.fail(Replayed.takeDiag());
+  if (!Replay->empty())
+    return D.fail(surplusRecords());
 
-  // Journal records address configurations by flat index.  Exhaustive
-  // plans are dense (position == flat index), but budgeted strategies
-  // carry only the planned subset in Evals, so replay has to translate.
-  std::unordered_map<uint64_t, size_t> PosOfFlat;
-  for (size_t I = 0; I != Out.Evals.size(); ++I)
-    PosOfFlat.emplace(Out.Evals[I].FlatIndex, I);
-
-  // A plan replays as a set: any journaled candidate is restored.
-  Expected<std::vector<std::string>> Records = openJournal(D);
-  if (!Records)
-    return D.fail(Records.takeDiag());
-  for (const std::string &Payload : *Records) {
-    Expected<EvalRecord> R = EvalRecord::fromJson(Payload);
-    if (!R)
-      return D.fail(R.takeDiag());
-    auto PosIt = PosOfFlat.find(R->Index);
-    if (PosIt == PosOfFlat.end() || !CandidateFlat.count(R->Index) ||
-        Out.Evals[PosIt->second].Point != R->Point)
-      return D.fail(sweepError(
-          "journal record for config #" + std::to_string(R->Index) +
-          " does not match the planned sweep; refusing to resume"));
-    if (D.Done.count(R->Index))
-      continue;
-    R->applyTo(Out.Evals[PosIt->second]);
-    D.restore(PosIt->second);
-  }
-
-  std::deque<size_t> Todo;
-  for (size_t Idx : Out.Candidates)
-    if (!D.Done.count(Out.Evals[Idx].FlatIndex))
-      Todo.push_back(Idx);
+  std::deque<size_t> Todo(Out.Candidates.begin() + ptrdiff_t(*Replayed),
+                          Out.Candidates.end());
   chooseExecution(D, Todo.size());
   return D.finish(measureBatch(D, Todo));
 }
@@ -633,13 +642,10 @@ SweepReport SweepDriver::run(SearchCursor &Cursor, std::string Strategy,
   Budget = std::max<uint64_t>(1, Budget);
   D.Total = size_t(Budget);
 
-  // An adaptive search replays in order: each round's journaled prefix
-  // must match the regenerated probes, or the journal belongs to a
-  // different run.
-  Expected<std::vector<std::string>> Records = openJournal(D);
-  if (!Records)
-    return D.fail(Records.takeDiag());
-  std::deque<std::string> Replay(Records->begin(), Records->end());
+  // Each round replays the journaled prefix of its probes.
+  Expected<std::deque<std::string>> Replay = openJournal(D);
+  if (!Replay)
+    return D.fail(Replay.takeDiag());
   chooseExecution(D, 0);
 
   std::unordered_map<uint64_t, size_t> PosOf; // flat -> position in Evals.
@@ -699,22 +705,10 @@ SweepReport SweepDriver::run(SearchCursor &Cursor, std::string Strategy,
     }
 
     // Replay the journaled prefix, then measure the rest.
-    size_t Replayed = 0;
-    for (; Replayed != Probes.size() && !Replay.empty(); ++Replayed) {
-      Expected<EvalRecord> R = EvalRecord::fromJson(Replay.front());
-      if (!R)
-        return D.fail(R.takeDiag());
-      ConfigEval &E = Out.Evals[Probes[Replayed]];
-      if (R->Index != E.FlatIndex || R->Point != E.Point)
-        return D.fail(sweepError(
-            "journal record for config #" + std::to_string(R->Index) +
-            " does not match the regenerated search sequence; refusing "
-            "to resume"));
-      Replay.pop_front();
-      R->applyTo(E);
-      D.restore(Probes[Replayed]);
-    }
-    std::deque<size_t> Todo(Probes.begin() + ptrdiff_t(Replayed),
+    Expected<size_t> Replayed = replayInOrder(D, *Replay, Probes);
+    if (!Replayed)
+      return D.fail(Replayed.takeDiag());
+    std::deque<size_t> Todo(Probes.begin() + ptrdiff_t(*Replayed),
                             Probes.end());
 
     // Budget truncation: measure only what fits; exhaustion completes the
@@ -741,9 +735,7 @@ SweepReport SweepDriver::run(SearchCursor &Cursor, std::string Strategy,
     Cursor.feed(Feed);
   }
 
-  if (!Interrupted && !Replay.empty())
-    return D.fail(sweepError(
-        "journal holds more records than the regenerated search replays; "
-        "refusing to resume"));
+  if (!Interrupted && !Replay->empty())
+    return D.fail(surplusRecords());
   return D.finish(!Interrupted);
 }

@@ -21,8 +21,12 @@
 ///    configurations are restored (bit-identical times) and skipped; a
 ///    torn final record from the kill point is truncated away.  A journal
 ///    from a different app/machine/strategy/seed/injection is rejected.
-///    A plan replays as a set; an adaptive search replays in order, each
-///    round's journaled prefix matching the regenerated probes.
+///    Replay is in order, one rule for both: the committer journals in
+///    work-list order at any job count and across worker retries, so a
+///    plan replays the journaled prefix of its candidates and each
+///    adaptive round the journaled prefix of its probes.  A record that
+///    does not match its position, or one left over after the sweep
+///    replays, is refused.
 ///
 ///  - **Process isolation** (support/Subprocess.h): with
 ///    SweepOptions::Isolate, workers are forked per shard of candidates
@@ -74,16 +78,14 @@ struct SweepOptions {
   std::string JournalPath;
   /// Replay a matching journal instead of truncating it.
   bool Resume = false;
-  /// Fork a worker per shard of candidates.
+  /// Fork a worker per shard of candidates.  A configuration whose
+  /// worker crashes or hangs is retried once, in a fresh worker, before
+  /// it is quarantined.
   bool Isolate = false;
   /// Wall-clock budget per in-flight configuration in a worker.
   double TaskTimeoutSeconds = 30.0;
   /// Candidates per forked worker.
   size_t ShardSize = 8;
-  /// Total attempts a configuration gets in isolated workers before it is
-  /// quarantined (2 = the original try plus one retry, the historical
-  /// policy).  0 is treated as 1.
-  unsigned MaxWorkerAttempts = 2;
   /// Pacing between attempts: exponential with deterministic jitter,
   /// salted by the configuration's flat index (see support/Backoff.h).
   BackoffPolicy RetryBackoff;

@@ -9,6 +9,7 @@
 #include "core/Search.h"
 #include "serve/Shard.h"
 #include "serve/Spool.h"
+#include "support/Backoff.h"
 #include "support/Journal.h"
 #include "support/Trace.h"
 
@@ -18,7 +19,6 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -29,6 +29,12 @@ using namespace g80;
 
 namespace {
 
+/// Floor under the hedge threshold, so tiny shards don't hedge wildly.
+constexpr double HedgeMinSeconds = 1.0;
+
+/// Reconnect pacing for failed workers.
+const BackoffPolicy ReconnectBackoff{};
+
 Diagnostic fleetDiag(std::string Msg) {
   return makeDiag(ErrorCode::SocketError, Stage::Parse, std::move(Msg));
 }
@@ -38,13 +44,6 @@ std::string shardName(uint64_t Index) {
   std::snprintf(Buf, sizeof(Buf), "shard-%06llu",
                 static_cast<unsigned long long>(Index));
   return Buf;
-}
-
-std::string slurpFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
 }
 
 } // namespace
@@ -117,6 +116,13 @@ struct FleetCoordinator::Impl {
     Warnings.push_back(std::move(Msg));
   }
 
+  /// Renames a corrupt spool file \p Path to .bad and warns about it.
+  void quarantine(const std::string &What, const std::string &Path) {
+    std::error_code Ec = quarantineFile(Path);
+    warn("quarantined corrupt " + What + " '" + Path + "'" +
+         (Ec ? " (rename failed: " + Ec.message() + ")" : ""));
+  }
+
   void fail(Diagnostic D) {
     std::lock_guard<std::mutex> L(M);
     if (!Fatal) {
@@ -174,7 +180,7 @@ struct FleetCoordinator::Impl {
         *App, makeServeMachine(Opts.Request.Machine), MetricOptions{}, SimO,
         FaultPlan{}, LintOptions{Opts.Request.Lint});
     SweepPlan Plan = planForRequest(*Eng, Opts.Request, Opts.Jobs);
-    Header = fingerprintForRequest(*App, *Eng, Plan, Opts.Request);
+    Header = fingerprintForRequest(*Eng, Plan, Opts.Request);
     Partition = ShardPlan::partition(Plan.Candidates.size(),
                                      planFingerprint(Header, Plan),
                                      Opts.ShardSize);
@@ -207,7 +213,7 @@ struct FleetCoordinator::Impl {
     // a different plan (or shard size) must not splice foreign results.
     std::string Manifest = manifestJson();
     if (std::filesystem::exists(manifestPath())) {
-      std::string Have = slurpFile(manifestPath());
+      std::string Have = readFileBytes(manifestPath()).value_or("");
       while (!Have.empty() && (Have.back() == '\n' || Have.back() == '\r'))
         Have.pop_back();
       if (Have != Manifest)
@@ -227,15 +233,9 @@ struct FleetCoordinator::Impl {
          std::filesystem::directory_iterator(Opts.SpoolDir, Ec)) {
       if (!Entry.is_regular_file() || Entry.path().extension() != ".job")
         continue;
-      std::string Raw = slurpFile(Entry.path().string());
-      if (!ShardRequest::fromJson(Raw)) {
-        std::string Bad = Entry.path().string() + ".bad";
-        std::error_code RenEc;
-        std::filesystem::rename(Entry.path(), Bad, RenEc);
-        warn("quarantined corrupt fleet ticket '" + Entry.path().string() +
-             "'" + (RenEc ? " (rename failed: " + RenEc.message() + ")"
-                          : ""));
-      }
+      std::string Path = Entry.path().string();
+      if (!ShardRequest::fromJson(readFileBytes(Path).value_or("")))
+        quarantine("fleet ticket", Path);
     }
 
     for (uint64_t I = 0; I != Shards.size(); ++I) {
@@ -248,17 +248,13 @@ struct FleetCoordinator::Impl {
       }
       if (!std::filesystem::exists(resultPath(I)))
         continue;
-      Expected<ShardResult> R = ShardResult::fromJson(slurpFile(resultPath(I)));
+      Expected<ShardResult> R =
+          ShardResult::fromJson(readFileBytes(resultPath(I)).value_or(""));
       bool Valid = bool(R) && R->completed() &&
                    R->PlanFp == Partition.PlanFp && R->ShardIndex == I &&
                    R->Records.size() == Partition.Shards[I].size();
       if (!Valid) {
-        std::string Bad = resultPath(I) + ".bad";
-        std::error_code RenEc;
-        std::filesystem::rename(resultPath(I), Bad, RenEc);
-        warn("quarantined corrupt fleet shard result '" + resultPath(I) +
-             "'" + (RenEc ? " (rename failed: " + RenEc.message() + ")"
-                          : ""));
+        quarantine("fleet shard result", resultPath(I));
         continue;
       }
       S.Done = true;
@@ -375,7 +371,7 @@ struct FleetCoordinator::Impl {
       ++FailStreak;
       traceCount("fleet.worker_failure");
       warn("worker " + Pool.endpoint(W).Label + ": " + Why);
-      sleepInterruptible(Opts.ReconnectBackoff.delaySeconds(
+      sleepInterruptible(ReconnectBackoff.delaySeconds(
           std::min(FailStreak, 12u), Salt ^ (uint64_t(W) << 32)));
     };
 
@@ -386,7 +382,7 @@ struct FleetCoordinator::Impl {
           Pool.setHealthy(W, false);
           Pool.noteFailure(W);
           ++FailStreak;
-          sleepInterruptible(Opts.ReconnectBackoff.delaySeconds(
+          sleepInterruptible(ReconnectBackoff.delaySeconds(
               std::min(FailStreak, 12u), uint64_t(W)));
           continue;
         }
@@ -469,7 +465,7 @@ struct FleetCoordinator::Impl {
       if (!I)
         continue;
       auto T0 = std::chrono::steady_clock::now();
-      ShardResult R = executeShard(*Eng, *App, Shards[size_t(*I)].Req,
+      ShardResult R = executeShard(*Eng, Shards[size_t(*I)].Req,
                                    localJournalPath(*I), Opts.Jobs,
                                    [this] { return stopRequested(); });
       double Dur = std::chrono::duration<double>(
@@ -517,7 +513,7 @@ struct FleetCoordinator::Impl {
           size_t Idx = size_t(Opts.HedgePercentile *
                                   double(Sorted.size() - 1) +
                               0.5);
-          double Threshold = std::max(Opts.HedgeMinSeconds,
+          double Threshold = std::max(HedgeMinSeconds,
                                       Sorted[std::min(Idx, Sorted.size() - 1)]);
           for (uint64_t I = 0; I != Shards.size(); ++I) {
             Shard &S = Shards[size_t(I)];

@@ -272,7 +272,7 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
   if (serveStrategyIsPlannable(Req)) {
     SweepPlan Plan = planForRequest(*E->Eng, Req, Opts.Jobs);
     Job->Total.store(Plan.Candidates.size(), std::memory_order_relaxed);
-    SOpts.Fingerprint = fingerprintForRequest(*E->App, *E->Eng, Plan, Req);
+    SOpts.Fingerprint = fingerprintForRequest(*E->Eng, Plan, Req);
     Rep = SweepDriver(*E->Eng, SOpts).run(std::move(Plan));
   } else {
     // Adaptive strategies (greedy/anneal/genetic) have no up-front plan;
@@ -341,7 +341,7 @@ std::string TuneServer::runShard(const ShardRequest &SReq) {
   // rather than re-measure.
   Active.fetch_add(1, std::memory_order_relaxed);
   ShardResult Res = executeShard(
-      *E->Eng, *E->App, SReq,
+      *E->Eng, SReq,
       Requests.shardJournalPath(SReq.PlanFp, SReq.ShardIndex), Opts.Jobs,
       [this] {
         return Draining.load(std::memory_order_acquire) ||

@@ -68,15 +68,11 @@ bool g80::serveStrategyIsPlannable(const TuneRequest &Req) {
 
 SweepPlan g80::planForRequest(const SearchEngine &Eng, const TuneRequest &Req,
                               unsigned Jobs) {
-  StrategyOptions Opts;
-  Opts.Seed = Req.Seed;
-  Opts.Budget = Req.Budget;
-  Opts.Jobs = Jobs;
   StrategyKind Kind;
   if (!parseStrategy(Req.Strategy, Kind) || !strategyIsPlannable(Kind))
     Kind = StrategyKind::Pareto; // Callers validate first; keep the old
                                  // pareto default for anything else.
-  return planForStrategy(Eng, Kind, Opts);
+  return planForStrategy(Eng, Kind, strategyOptionsForRequest(Req, Jobs));
 }
 
 StrategyOptions g80::strategyOptionsForRequest(const TuneRequest &Req,
@@ -88,8 +84,7 @@ StrategyOptions g80::strategyOptionsForRequest(const TuneRequest &Req,
   return Opts;
 }
 
-JournalHeader g80::fingerprintForRequest(const TunableApp &,
-                                         const SearchEngine &Eng,
+JournalHeader g80::fingerprintForRequest(const SearchEngine &Eng,
                                          const SweepPlan &Plan,
                                          const TuneRequest &Req) {
   StrategyKind Kind = StrategyKind::Pareto;
@@ -115,8 +110,7 @@ uint64_t g80::planFingerprint(const JournalHeader &Header,
   return fnv1a64(Bytes);
 }
 
-ShardResult g80::executeShard(const SearchEngine &Eng, const TunableApp &App,
-                              const ShardRequest &Req,
+ShardResult g80::executeShard(const SearchEngine &Eng, const ShardRequest &Req,
                               const std::string &JournalPath, unsigned Jobs,
                               const std::function<bool()> &ShouldStop) {
   ShardResult Res;
@@ -134,7 +128,7 @@ ShardResult g80::executeShard(const SearchEngine &Eng, const TunableApp &App,
   }
 
   SweepPlan Plan = planForRequest(Eng, Req.Tune, Jobs);
-  JournalHeader Header = fingerprintForRequest(App, Eng, Plan, Req.Tune);
+  JournalHeader Header = fingerprintForRequest(Eng, Plan, Req.Tune);
   Res.PlanFp = planFingerprint(Header, Plan);
   if (Req.PlanFp != 0 && Res.PlanFp != Req.PlanFp) {
     Res.Error = "plan fingerprint mismatch: derived " +

@@ -64,8 +64,7 @@ StrategyOptions strategyOptionsForRequest(const TuneRequest &Req,
 /// The journal fingerprint header for \p Req's plan — byte-compatible
 /// with what `tune search` and `tune serve` write, so fleet journals can
 /// be resumed/reported by the CLI directly.
-JournalHeader fingerprintForRequest(const TunableApp &App,
-                                    const SearchEngine &Eng,
+JournalHeader fingerprintForRequest(const SearchEngine &Eng,
                                     const SweepPlan &Plan,
                                     const TuneRequest &Req);
 
@@ -81,8 +80,7 @@ uint64_t planFingerprint(const JournalHeader &Header, const SweepPlan &Plan);
 /// On success Records holds exactly End-Begin journal record payloads in
 /// candidate order — byte-identical to the records a single-daemon sweep
 /// would have appended for those candidates.
-ShardResult executeShard(const SearchEngine &Eng, const TunableApp &App,
-                         const ShardRequest &Req,
+ShardResult executeShard(const SearchEngine &Eng, const ShardRequest &Req,
                          const std::string &JournalPath, unsigned Jobs,
                          const std::function<bool()> &ShouldStop);
 

@@ -91,6 +91,21 @@ Expected<Unit> g80::writeFileDurable(const std::string &Path,
 
 #endif
 
+std::optional<std::string> g80::readFileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return std::nullopt;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+std::error_code g80::quarantineFile(const std::string &Path) {
+  std::error_code Ec;
+  std::filesystem::rename(Path, Path + ".bad", Ec);
+  return Ec;
+}
+
 Expected<Spool> Spool::open(const std::string &Dir) {
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);
@@ -142,12 +157,10 @@ std::string Spool::shardJournalPath(uint64_t PlanFp,
 }
 
 Expected<std::string> Spool::readResult(const std::string &Id) const {
-  std::ifstream In(resultPath(Id), std::ios::binary);
-  if (!In)
+  std::optional<std::string> Bytes = readFileBytes(resultPath(Id));
+  if (!Bytes)
     return spoolError("no result for '" + Id + "'");
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
+  return std::move(*Bytes);
 }
 
 Expected<std::vector<std::pair<std::string, TuneRequest>>>
@@ -163,18 +176,14 @@ Spool::recover(std::vector<std::string> *Quarantined) const {
     std::string Id = P.stem().string();
     if (seqForId(Id) == 0 || std::filesystem::exists(resultPath(Id)))
       continue;
-    std::ifstream In(P, std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Expected<TuneRequest> Req = TuneRequest::fromJson(Buf.str());
+    Expected<TuneRequest> Req =
+        TuneRequest::fromJson(readFileBytes(P.string()).value_or(""));
     if (!Req) {
       // A ticket torn by a mid-write crash must not take down recovery
       // of the healthy ones: quarantine it under a .bad name (so the
       // evidence survives and the scan never re-trips on it) and move
       // on.
-      std::string Bad = P.string() + ".bad";
-      std::error_code RenEc;
-      std::filesystem::rename(P, Bad, RenEc);
+      std::error_code RenEc = quarantineFile(P.string());
       std::string Note = "quarantined corrupt spool ticket '" + P.string() +
                          "': " + Req.diag().Message;
       if (RenEc)

@@ -33,7 +33,9 @@
 #include "serve/Protocol.h"
 #include "support/Status.h"
 
+#include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -45,6 +47,13 @@ namespace g80 {
 /// coordinator's shard spool can share it.
 Expected<Unit> writeFileDurable(const std::string &Path,
                                 const std::string &Content);
+
+/// The whole content of \p Path; nullopt when it cannot be opened.
+std::optional<std::string> readFileBytes(const std::string &Path);
+
+/// Renames a corrupt \p Path to `<Path>.bad`, so the evidence survives
+/// and no later scan re-reads it.  Returns the rename's error, if any.
+std::error_code quarantineFile(const std::string &Path);
 
 class Spool {
 public:

@@ -74,6 +74,15 @@ void spit(const std::string &Path, const std::string &Bytes) {
 
 //===--- Journal primitives ----------------------------------------------------//
 
+/// Journal lines of \p Path, header first.
+std::vector<std::string> journalLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  return Lines;
+}
+
 TEST(JsonHelpers, EscapeRoundTripsControlCharacters) {
   std::string Nasty = "a\"b\\c\nd\re\tf\x01g";
   EXPECT_EQ(jsonUnescape(jsonEscape(Nasty)), Nasty);
@@ -447,6 +456,33 @@ TEST(SweepDriverTest, Acceptance500KillAndResume) {
   expectEqualOutcomes(Res2.Outcome, Full.Outcome);
 }
 
+/// The committer journals a plan in candidate order at any job count and
+/// across worker retries, so resume replays the journaled prefix of the
+/// candidates; a journal that is not such a prefix belongs to a different
+/// sweep.
+TEST(SweepDriverTest, PlanJournalOutOfCandidateOrderIsRefused) {
+  SearchEngine Engine(toy100(), gtx());
+  SweepOptions Opts;
+  Opts.JournalPath = tmpPath("swapped");
+  Opts.Fingerprint = toyFp(toy100());
+  ASSERT_EQ(SweepDriver(Engine, Opts).run(Engine.planExhaustive()).Status,
+            SweepStatus::Completed);
+
+  // Swap the first two records; each line keeps its own valid checksum.
+  std::vector<std::string> Lines = journalLines(Opts.JournalPath);
+  ASSERT_GT(Lines.size(), 3u);
+  std::swap(Lines[1], Lines[2]);
+  std::string Bytes;
+  for (const std::string &L : Lines)
+    Bytes += L + "\n";
+  spit(Opts.JournalPath, Bytes);
+
+  Opts.Resume = true;
+  SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
+  ASSERT_EQ(Rep.Status, SweepStatus::Error);
+  EXPECT_EQ(Rep.Error.Code, ErrorCode::JournalError);
+}
+
 TEST(SweepDriverTest, IsolatedCrashAndHangQuarantineOnlyVictims) {
   if (!subprocessSupported())
     GTEST_SKIP() << "no fork on this platform";
@@ -548,15 +584,6 @@ TEST(SweepDriverTest, RealAppJournaledResumeMatchesPlain) {
 }
 
 //===--- Adaptive searches under isolation ---------------------------------===//
-
-/// Journal lines of \p Path, header first.
-std::vector<std::string> journalLines(const std::string &Path) {
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  for (std::string Line; std::getline(In, Line);)
-    Lines.push_back(Line);
-  return Lines;
-}
 
 /// An anneal search of the toy space (two chains, 32 probes).
 SweepReport annealToy(const SearchEngine &Engine, const std::string &Path,

@@ -89,7 +89,7 @@ void writeReferenceJournal(const TuneRequest &Req, const std::string &Path) {
   SweepPlan Plan = planForRequest(Eng, Req, 1);
   SweepOptions Opts;
   Opts.JournalPath = Path;
-  Opts.Fingerprint = fingerprintForRequest(*App, Eng, Plan, Req);
+  Opts.Fingerprint = fingerprintForRequest(Eng, Plan, Req);
   SweepReport Rep = SweepDriver(Eng, Opts).run(std::move(Plan));
   ASSERT_EQ(Rep.Status, SweepStatus::Completed);
 }
@@ -248,7 +248,7 @@ TEST(ExecuteShardTest, ShardsConcatenateToTheFullJournal) {
   std::unique_ptr<TunableApp> App = makeServeApp(Req.App);
   SearchEngine Eng(*App, makeServeMachine(Req.Machine));
   SweepPlan Plan = planForRequest(Eng, Req, 1);
-  JournalHeader Header = fingerprintForRequest(*App, Eng, Plan, Req);
+  JournalHeader Header = fingerprintForRequest(Eng, Plan, Req);
   uint64_t Fp = planFingerprint(Header, Plan);
   ShardPlan Partition = ShardPlan::partition(Plan.Candidates.size(), Fp, 5);
 
@@ -263,7 +263,7 @@ TEST(ExecuteShardTest, ShardsConcatenateToTheFullJournal) {
     SReq.Begin = R.Begin;
     SReq.End = R.End;
     ShardResult Res = executeShard(
-        Eng, *App, SReq,
+        Eng, SReq,
         Dir + "/shard-" + std::to_string(R.Index) + ".journal", 1, {});
     ASSERT_TRUE(Res.completed()) << Res.Error;
     EXPECT_EQ(Res.PlanFp, Fp);
@@ -286,8 +286,7 @@ TEST(ExecuteShardTest, FingerprintSkewIsRefused) {
   SReq.PlanFp = 0xdeadbeef; // Not this plan's fingerprint.
   SReq.Begin = 0;
   SReq.End = 2;
-  ShardResult Res =
-      executeShard(Eng, *App, SReq, Dir + "/s.journal", 1, {});
+  ShardResult Res = executeShard(Eng, SReq, Dir + "/s.journal", 1, {});
   EXPECT_FALSE(Res.completed());
   EXPECT_NE(Res.Error.find("fingerprint mismatch"), std::string::npos);
 }

@@ -16,12 +16,14 @@
 
 #include "ToyApps.h"
 
+#include "core/Report.h"
 #include "core/Search.h"
 #include "core/SweepDriver.h"
 #include "kernels/MatMul.h"
 #include "support/FaultInjection.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,61 @@ TEST(ParallelEvaluation, MemoizedSecondCallMatchesFirst) {
   for (size_t I = 0; I != First.size(); ++I) {
     EXPECT_EQ(First[I].FlatIndex, Second[I].FlatIndex);
     EXPECT_EQ(First[I].EfficiencyTotal, Second[I].EfficiencyTotal);
+  }
+}
+
+/// Kernel generations ("parse" spans) recorded in the trace at \p Path.
+uint64_t generations(const std::string &Path) {
+  Expected<TraceSummary> S = readTraceSummary(Path);
+  EXPECT_TRUE(S.ok());
+  uint64_t N = 0;
+  if (S)
+    for (const TraceStageStat &St : S->Stages)
+      if (St.Name == "parse")
+        N += St.Count;
+  return N;
+}
+
+void expectSameStatics(const ConfigEval &A, const ConfigEval &B) {
+  EXPECT_EQ(A.FlatIndex, B.FlatIndex);
+  EXPECT_EQ(A.Point, B.Point);
+  EXPECT_EQ(A.Expressible, B.Expressible);
+  EXPECT_EQ(A.Metrics.Valid, B.Metrics.Valid);
+  EXPECT_EQ(A.Metrics.Efficiency, B.Metrics.Efficiency);
+  EXPECT_EQ(A.Metrics.Utilization, B.Metrics.Utilization);
+  EXPECT_EQ(A.EfficiencyTotal, B.EfficiencyTotal);
+  EXPECT_EQ(A.failed(), B.failed());
+}
+
+TEST(ParallelEvaluation, DenseAndSubsetStaticsShareOneCache) {
+  // Plans (evaluateMetrics) and probes (evaluateSubset) read one per-point
+  // cache: whichever runs second recalls every entry and generates no
+  // kernel, in either order.
+  MatMulApp App(MatMulProblem::emulation());
+  for (bool DenseFirst : {true, false}) {
+    Evaluator E(App, gtx());
+    std::vector<uint64_t> Expr = E.expressibleIndices();
+    std::vector<ConfigEval> Dense, Subset;
+    if (DenseFirst)
+      Dense = E.evaluateMetrics(4);
+    else
+      Subset = E.evaluateSubset(Expr, 4);
+    std::string TracePath = tmpPath("memo_order");
+    {
+      Expected<Tracer> T = Tracer::toFile(TracePath);
+      ASSERT_TRUE(T.ok());
+      ScopedTracer Install(&*T);
+      if (DenseFirst)
+        Subset = E.evaluateSubset(Expr, 4);
+      else
+        Dense = E.evaluateMetrics(4);
+    }
+    EXPECT_EQ(generations(TracePath), 0u)
+        << (DenseFirst ? "dense first" : "subset first");
+    ASSERT_EQ(Subset.size(), Expr.size());
+    ASSERT_EQ(Dense.size(), App.space().rawSize());
+    for (const ConfigEval &C : Subset)
+      expectSameStatics(C, Dense[C.FlatIndex]);
   }
 }
 

@@ -102,10 +102,7 @@
 #include "core/SweepDriver.h"
 #include "fleet/Coordinator.h"
 #include "serve/Server.h"
-#include "kernels/Cp.h"
-#include "kernels/MatMul.h"
-#include "kernels/MriFhd.h"
-#include "kernels/Sad.h"
+#include "serve/Shard.h"
 #include "metrics/Metrics.h"
 #include "ptx/Parser.h"
 #include "ptx/Printer.h"
@@ -187,19 +184,6 @@ int usage() {
   return ExitUsage;
 }
 
-std::unique_ptr<TunableApp> makeApp(const std::string &Name,
-                                    SpaceTier Tier = SpaceTier::Small) {
-  if (Name == "matmul")
-    return std::make_unique<MatMulApp>(MatMulProblem::bench(), Tier);
-  if (Name == "cp")
-    return std::make_unique<CpApp>(CpProblem::bench(), Tier);
-  if (Name == "sad")
-    return std::make_unique<SadApp>(SadApp::benchProblem(), Tier);
-  if (Name == "mri" || Name == "mri-fhd")
-    return std::make_unique<MriFhdApp>(MriProblem::bench(), Tier);
-  return nullptr;
-}
-
 /// Parses --space (default small); prints a usage error on garbage.
 bool spaceFlag(const std::map<std::string, std::string> &Flags,
                SpaceTier &Tier) {
@@ -212,10 +196,19 @@ bool spaceFlag(const std::map<std::string, std::string> &Flags,
   return false;
 }
 
-MachineModel makeMachine(const std::string &Name) {
-  if (Name == "nextgen")
-    return MachineModel::hypotheticalNextGen();
-  return MachineModel::geForce8800Gtx();
+/// Opens the --trace file, if one is given, into \p Trace; prints the
+/// error and fails when it cannot be created.
+bool openTrace(std::map<std::string, std::string> &Flags,
+               std::optional<Tracer> &Trace) {
+  if (!Flags.count("trace"))
+    return true;
+  Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
+  if (!T) {
+    std::cerr << "error: --trace: " << T.diag().Message << "\n";
+    return false;
+  }
+  Trace.emplace(T.takeValue());
+  return true;
 }
 
 /// Strict flag accessors (support/Numeric.h).  Absent flags leave \p Out
@@ -290,7 +283,7 @@ int cmdList() {
   TextTable T;
   T.setHeader({"app", "dimensions", "raw size"});
   for (const char *Name : {"matmul", "cp", "sad", "mri"}) {
-    std::unique_ptr<TunableApp> App = makeApp(Name);
+    std::unique_ptr<TunableApp> App = makeServeApp(Name);
     std::string Dims;
     for (const ConfigDim &D : App->space().dims()) {
       if (!Dims.empty())
@@ -318,15 +311,22 @@ bool writeEvalCsv(const std::string &Path, const SearchOutcome &Out) {
   return true;
 }
 
+/// \p WholeSpace says whether \p Out holds the whole static space.  When
+/// it does not (an adaptive search, or a random sample of a space too
+/// large to plan densely), ValidCount counts only the probed
+/// configurations and Table 4's space reduction does not apply.
 void printSearchSummary(const TunableApp &App, const MachineModel &Machine,
-                        const SearchOutcome &Out) {
+                        const SearchOutcome &Out, bool WholeSpace) {
   std::cout << App.name() << " on " << Machine.Name << " — strategy "
             << Out.Strategy << "\n\n"
-            << "  valid configurations : " << Out.ValidCount << "\n"
-            << "  measured             : " << Out.Candidates.size() << "\n"
-            << "  space reduction      : "
-            << fmtPercent(Out.spaceReduction()) << "\n"
-            << "  total measured time  : "
+            << (WholeSpace ? "  valid configurations : "
+                           : "  probed valid configs : ")
+            << Out.ValidCount << "\n"
+            << "  measured             : " << Out.Candidates.size() << "\n";
+  if (WholeSpace)
+    std::cout << "  space reduction      : "
+              << fmtPercent(Out.spaceReduction()) << "\n";
+  std::cout << "  total measured time  : "
             << fmtDouble(Out.TotalMeasuredSeconds * 1e3, 2) << " ms\n";
   if (!Out.Quarantined.empty()) {
     std::cout << "  quarantined          : " << Out.Quarantined.size()
@@ -402,12 +402,12 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   SpaceTier Tier = SpaceTier::Small;
   if (!spaceFlag(Flags, Tier))
     return usage();
-  std::unique_ptr<TunableApp> App = makeApp(Flags["app"], Tier);
+  std::unique_ptr<TunableApp> App = makeServeApp(Flags["app"], Tier);
   if (!App) {
     std::cerr << "error: unknown or missing --app\n";
     return usage();
   }
-  MachineModel Machine = makeMachine(Flags["machine"]);
+  MachineModel Machine = makeServeMachine(Flags["machine"]);
 
   std::string InjectSpec = Flags.count("inject") ? Flags["inject"] : "";
   FaultPlan Faults;
@@ -488,14 +488,8 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   // before planning: plan-phase spans (estimate/occupancy under the
   // metrics pass) land in the file too.
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return ExitUsage;
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!openTrace(Flags, Trace))
+    return ExitUsage;
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   // Live status line on stderr.  Observation only — it runs on the
@@ -548,7 +542,10 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
     std::cout << "  worker retries       : " << Rep.WorkerRetries << "\n";
   bool Interrupted = Rep.Status == SweepStatus::Interrupted;
 
-  printSearchSummary(*App, Machine, Out);
+  bool WholeSpace =
+      Plannable && (Kind != StrategyKind::Random ||
+                    App->space().rawSize() <= SearchEngine::DenseEvalLimit);
+  printSearchSummary(*App, Machine, Out, WholeSpace);
   if (Flags.count("out") && !writeEvalCsv(Flags["out"], Out))
     return ExitUsage;
 
@@ -622,14 +619,8 @@ int cmdServe(std::map<std::string, std::string> Flags) {
   }
 
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return usage();
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!openTrace(Flags, Trace))
+    return usage();
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   TuneServer Server(std::move(SO));
@@ -742,14 +733,8 @@ int cmdFleet(std::map<std::string, std::string> Flags) {
   }
 
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return usage();
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!openTrace(Flags, Trace))
+    return usage();
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   bool Progress = Flags.count("progress") != 0;
@@ -845,7 +830,7 @@ int cmdReport(const std::string &Path,
 int cmdLint(const std::string &Positional,
             std::map<std::string, std::string> Flags) {
   std::string AppName = Flags.count("app") ? Flags["app"] : Positional;
-  std::unique_ptr<TunableApp> App = makeApp(AppName);
+  std::unique_ptr<TunableApp> App = makeServeApp(AppName);
   if (!App) {
     std::cerr << "error: unknown or missing app (tune lint <matmul|cp|sad|"
                  "mri> or --app <name>)\n";
@@ -925,7 +910,7 @@ int cmdLint(const std::string &Positional,
 }
 
 int cmdShow(std::map<std::string, std::string> Flags) {
-  std::unique_ptr<TunableApp> App = makeApp(Flags["app"]);
+  std::unique_ptr<TunableApp> App = makeServeApp(Flags["app"]);
   if (!App || !Flags.count("config")) {
     std::cerr << "error: need --app and --config\n";
     return usage();
@@ -947,7 +932,7 @@ int cmdShow(std::map<std::string, std::string> Flags) {
     return ExitUsage;
   }
   Kernel K = App->buildKernel(P);
-  MachineModel Machine = makeMachine(Flags["machine"]);
+  MachineModel Machine = makeServeMachine(Flags["machine"]);
   KernelMetrics M = computeKernelMetrics(K, App->launch(P), Machine);
   printKernel(K, std::cout);
   std::cout << "\n// Instr=" << M.Profile.DynInstrs
@@ -1006,7 +991,7 @@ int cmdInspect(std::map<std::string, std::string> Flags) {
       Dim3(unsigned(Grid[0]), Grid.size() > 1 ? unsigned(Grid[1]) : 1),
       Dim3(unsigned(Block[0]), Block.size() > 1 ? unsigned(Block[1]) : 1));
 
-  MachineModel Machine = makeMachine(Flags["machine"]);
+  MachineModel Machine = makeServeMachine(Flags["machine"]);
   KernelMetrics M = computeKernelMetrics(K, LC, Machine);
 
   std::cout << "kernel '" << K.name() << "' on " << Machine.Name << " with "
