@@ -119,8 +119,10 @@ bool sameSymTerms(const LinExpr &A, const LinExpr &B) {
 std::string threadStr(const ThreadGrid &G, unsigned T) {
   unsigned X, Y, Z;
   G.coords(T, X, Y, Z);
-  return "(" + std::to_string(X) + "," + std::to_string(Y) + "," +
-         std::to_string(Z) + ")";
+  std::string S = "(";
+  S.append(std::to_string(X)).append(",").append(std::to_string(Y));
+  S.append(",").append(std::to_string(Z)).append(")");
+  return S;
 }
 
 std::string sharedBufName(const Kernel &K, unsigned Buffer) {

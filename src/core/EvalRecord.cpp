@@ -142,7 +142,7 @@ std::vector<std::string> EvalRecord::csvHeader() {
 std::vector<std::string> EvalRecord::csvRow() const {
   std::string PointText;
   for (size_t I = 0; I != Point.size(); ++I)
-    PointText += (I ? "," : "") + std::to_string(Point[I]);
+    PointText.append(I ? "," : "").append(std::to_string(Point[I]));
   return {std::to_string(Index),
           PointText,
           Expressible ? "1" : "0",

@@ -33,15 +33,14 @@ std::string fmtExact(double V) {
 std::string pointText(const std::vector<int> &Point) {
   std::string Out;
   for (size_t I = 0; I != Point.size(); ++I)
-    Out += (I ? "," : "") + std::to_string(Point[I]);
+    Out.append(I ? "," : "").append(std::to_string(Point[I]));
   return Out;
 }
 
 std::string pointJson(const std::vector<int> &Point) {
   std::string Out = "[";
-  for (size_t I = 0; I != Point.size(); ++I)
-    Out += (I ? "," : "") + std::to_string(Point[I]);
-  return Out + "]";
+  Out.append(pointText(Point)).append("]");
+  return Out;
 }
 
 } // namespace
@@ -222,9 +221,11 @@ void g80::renderReportText(const SweepSummary &S, const TraceSummary *Trace,
   OS << "  expressible          : " << S.Expressible << "\n"
      << "  valid                : " << S.Valid << "\n"
      << "  measured             : " << S.Measured << "\n"
-     << "  quarantined          : " << S.Quarantined << "\n"
-     << "  space reduction      : " << fmtPercent(S.spaceReduction()) << "\n";
-  if (S.Source && S.Source->RawSize != 0)
+     << "  quarantined          : " << S.Quarantined << "\n";
+  // A journal holds measured records only: its valid == measured.
+  if (!S.Source)
+    OS << "  space reduction      : " << fmtPercent(S.spaceReduction()) << "\n";
+  else if (S.Source->RawSize != 0)
     OS << "  reduction vs raw     : " << fmtPercent(S.rawSpaceReduction())
        << "\n";
   OS << "  total measured time  : "
@@ -265,11 +266,14 @@ void g80::renderReportText(const SweepSummary &S, const TraceSummary *Trace,
     OS << "\nslowest configurations\n";
     TextTable T;
     T.setHeader({"config", "point", "time", "cycles", "issue eff", "path"});
-    for (const EvalRecord &R : S.Slowest)
-      T.addRow({"#" + std::to_string(R.Index), pointText(R.Point),
+    for (const EvalRecord &R : S.Slowest) {
+      std::string Config = "#";
+      Config.append(std::to_string(R.Index));
+      T.addRow({std::move(Config), pointText(R.Point),
                 fmtDouble(R.TimeSeconds * 1e3, 3) + " ms",
                 std::to_string(R.Cycles), fmtPercent(R.issueEfficiency()),
                 R.FastBw ? "fast-bw" : "sim"});
+    }
     T.print(OS);
   }
 
@@ -308,9 +312,10 @@ void g80::renderReportJson(const SweepSummary &S, const TraceSummary *Trace,
      << ",\n  \"expressible\": " << S.Expressible
      << ",\n  \"valid\": " << S.Valid << ",\n  \"measured\": " << S.Measured
      << ",\n  \"quarantined\": " << S.Quarantined
-     << ",\n  \"fast_bw\": " << S.FastBw
-     << ",\n  \"space_reduction\": " << fmtExact(S.spaceReduction())
-     << ",\n  \"space_reduction_raw\": " << fmtExact(S.rawSpaceReduction())
+     << ",\n  \"fast_bw\": " << S.FastBw;
+  if (!S.Source)
+    OS << ",\n  \"space_reduction\": " << fmtExact(S.spaceReduction());
+  OS << ",\n  \"space_reduction_raw\": " << fmtExact(S.rawSpaceReduction())
      << ",\n  \"total_measured_seconds\": "
      << fmtExact(S.TotalMeasuredSeconds);
   if (S.HasBest)

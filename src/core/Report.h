@@ -104,7 +104,9 @@ struct SweepSummary {
   }
 
   /// Table 4's space reduction over what this artifact can see: the
-  /// fraction of valid configurations not measured.
+  /// fraction of valid configurations not measured.  Only meaningful
+  /// without a Source: a journal holds measured records only, so the
+  /// renderers omit it for journals.
   double spaceReduction() const {
     if (Valid == 0)
       return 0;
@@ -113,9 +115,8 @@ struct SweepSummary {
   }
 
   /// Space reduction against the raw configuration space — the journal
-  /// header's Table-4 denominator.  Only meaningful when Source is set
-  /// (a journal holds candidates only, so spaceReduction() is near zero
-  /// there); zero without a header.
+  /// header's Table-4 denominator.  Only meaningful when Source is set;
+  /// zero without a header.
   double rawSpaceReduction() const {
     if (!Source || Source->RawSize == 0)
       return 0;

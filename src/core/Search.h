@@ -134,14 +134,15 @@ public:
   /// each plannable strategy, leaving the expensive measurement phase to
   /// SweepDriver, which journals and shards it.  planPareto applies the
   /// §5.3 bandwidth screen unless \p Opts disables it; planClustered
-  /// keeps one representative per metric cluster of the Pareto subset.
+  /// keeps one representative per metric cluster of the Pareto subset
+  /// (clusterByMetrics' default 1e-3 relative tolerance).
   /// \p Jobs parallelizes the static metric evaluation; the plan is
   /// identical for any job count.
   SweepPlan planExhaustive(unsigned Jobs = 1) const;
   SweepPlan planPareto(const ParetoOptions &Opts = {},
                        unsigned Jobs = 1) const;
   SweepPlan planClustered(const ParetoOptions &Opts = {},
-                          double RelTol = 1e-3, unsigned Jobs = 1) const;
+                          unsigned Jobs = 1) const;
   SweepPlan planRandom(size_t K, uint64_t Seed, unsigned Jobs = 1) const;
 
   const Evaluator &evaluator() const { return Eval; }

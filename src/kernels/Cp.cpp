@@ -105,12 +105,17 @@ Kernel CpApp::buildKernel(const ConfigPoint &P) const {
   const unsigned TY = C.YTile;
   const unsigned U = C.Unroll;
 
-  KernelBuilder B("cp_" + (BX != 16 ? "bx" + std::to_string(BX) + "_" : "") +
-                  "by" + std::to_string(C.BlockY) +
-                  (TY > 1 ? "x" + std::to_string(TY) : "") + "_f" +
-                  std::to_string(F) +
-                  (U > 1 ? "_u" + std::to_string(U) : "") +
-                  (C.Coalesce ? "_co" : "_nc"));
+  std::string Name = "cp_";
+  if (BX != 16)
+    Name.append("bx").append(std::to_string(BX)).append("_");
+  Name.append("by").append(std::to_string(C.BlockY));
+  if (TY > 1)
+    Name.append("x").append(std::to_string(TY));
+  Name.append("_f").append(std::to_string(F));
+  if (U > 1)
+    Name.append("_u").append(std::to_string(U));
+  Name.append(C.Coalesce ? "_co" : "_nc");
+  KernelBuilder B(std::move(Name));
   // Atom records are (x, y, z^2, q), 16 bytes each, in constant memory —
   // z^2 precomputed host-side since the slice sits at z = 0.
   unsigned PAtoms = B.addConstPtr("atoms");

@@ -94,7 +94,11 @@ private:
   }
 
   static std::string regName(Reg R) {
-    return R.isValid() ? "r" + std::to_string(R.Id) : std::string("<none>");
+    if (!R.isValid())
+      return "<none>";
+    std::string S = "r";
+    S.append(std::to_string(R.Id));
+    return S;
   }
 
   void printOperand(const Operand &O) {

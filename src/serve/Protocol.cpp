@@ -39,7 +39,8 @@ void putBool(std::ostringstream &OS, const char *Key, bool V) {
 /// array is malformed.
 bool jsonStringArrayField(const std::string &Json, const char *Key,
                           std::vector<std::string> &Out) {
-  std::string Needle = "\"" + std::string(Key) + "\":[";
+  std::string Needle = "\"";
+  Needle.append(Key).append("\":[");
   size_t At = Json.find(Needle);
   if (At == std::string::npos)
     return false;

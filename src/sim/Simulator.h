@@ -54,8 +54,8 @@ class Kernel;
 struct SimOptions {
   /// Scheduler-core selection.  Both engines execute the same trace with
   /// the same round-robin issue order and produce bit-identical SimResults
-  /// (asserted by tests/SimEngineTest.cpp and bench/sweep_perf); they
-  /// differ only in how the next issueable warp is found.
+  /// (asserted by tests/SimEngineTest.cpp and bench/sim_engine_perf);
+  /// they differ only in how the next issueable warp is found.
   enum class Engine : uint8_t {
     /// Event-driven core (default): dense SoA warp state, a ready bitmask
     /// scanned with ctz, and a wake calendar over the cached StallUntil
@@ -63,8 +63,8 @@ struct SimOptions {
     /// wake cycle.  The fast path.
     Event,
     /// The original round-robin scan over every resident warp per issue
-    /// slot.  Kept as the debugging/differential reference (`tune search
-    /// --sim-engine scan`).
+    /// slot.  Kept as the differential reference for the tests and
+    /// benches that compare the two cores.
     Scan,
   };
 

@@ -118,7 +118,8 @@ std::string crcHex(std::string_view Bytes) {
 /// the raw value text starting right after the colon (up to end of Obj).
 bool fieldTail(std::string_view Obj, std::string_view Key,
                std::string_view &Tail) {
-  std::string Needle = "\"" + std::string(Key) + "\":";
+  std::string Needle = "\"";
+  Needle.append(Key).append("\":");
   size_t Pos = Obj.find(Needle);
   if (Pos == std::string_view::npos)
     return false;
@@ -343,9 +344,8 @@ JournalWriter::~JournalWriter() { close(); }
 
 void g80::fsyncParentDir(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  std::string Dir =
+      Slash == std::string::npos ? "." : Path.substr(0, Slash ? Slash : 1);
   int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd < 0)
     return;

@@ -11,6 +11,10 @@
 #include <atomic>
 #include <cstdlib>
 
+#ifndef _WIN32
+#include <sys/resource.h>
+#endif
+
 using namespace g80;
 
 //===--- Tracer ---------------------------------------------------------------//
@@ -81,6 +85,17 @@ void Tracer::close() {
     return;
   if (std::optional<uint64_t> Kb = peakRssKb())
     Counters["proc.peak_rss_kb"] = *Kb;
+#ifndef _WIN32
+  // Process CPU time beside the wall-clock spans: a run whose threads
+  // were runnable but not scheduled shows far less CPU than span time.
+  rusage U;
+  if (::getrusage(RUSAGE_SELF, &U) == 0) {
+    Counters["proc.cpu_user_us"] = U.ru_utime.tv_sec * 1000000ull +
+                                   uint64_t(U.ru_utime.tv_usec);
+    Counters["proc.cpu_sys_us"] = U.ru_stime.tv_sec * 1000000ull +
+                                  uint64_t(U.ru_stime.tv_usec);
+  }
+#endif
   for (const auto &[Name, Value] : Counters)
     OS << "{\"type\":\"counter\",\"name\":\"" << jsonEscape(Name)
        << "\",\"value\":" << Value << "}\n";

@@ -96,8 +96,9 @@ public:
   uint64_t nowUs() const;
 
   /// Writes the counter lines, plus the process's "proc.peak_rss_kb"
-  /// where peakRssKb() can read it, and closes the sink.  Idempotent;
-  /// also run by the destructor.
+  /// where peakRssKb() can read it and its CPU time so far
+  /// ("proc.cpu_user_us", "proc.cpu_sys_us", from getrusage), and closes
+  /// the sink.  Idempotent; also run by the destructor.
   void close();
 
 private:

@@ -273,8 +273,8 @@ std::string slurp(const std::string &Path) {
 
 TEST(SimEngine, JournalBytesEngineInvariant) {
   // A full exhaustive sweep journals byte-identically under either
-  // engine: engine selection can never leak into recorded results, which
-  // is why it stays out of the journal fingerprint (tools/tune.cpp).
+  // engine: engine selection can never leak into recorded results, so it
+  // has no place in the journal fingerprint.
   MatMulApp App(MatMulProblem::emulation());
   auto RunWith = [&](SimOptions::Engine Eng, const std::string &Path) {
     SimOptions SimO;

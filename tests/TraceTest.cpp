@@ -95,13 +95,20 @@ TEST(TracerTest, NestedSpansRecordDepthAndContainment) {
     { TraceSpan Inner("inner"); }
   }
   // Spans complete innermost-first, so the inner line precedes the outer;
-  // close() then adds the process's peak RSS counter where readable.
+  // close() then adds the process counters in name order, peak RSS where
+  // readable: meta, inner, outer, cpu_sys, cpu_user[, rss].
   std::vector<std::string> L = lines(slurp(Path));
-  ASSERT_EQ(L.size(), peakRssKb() ? 4u : 3u); // meta, inner, outer[, rss].
-  if (L.size() == 4) {
+  ASSERT_EQ(L.size(), peakRssKb() ? 6u : 5u);
+  EXPECT_NE(L[3].find("\"name\":\"proc.cpu_sys_us\""), std::string::npos);
+  EXPECT_NE(L[4].find("\"name\":\"proc.cpu_user_us\""), std::string::npos);
+  uint64_t SysUs = 0, UserUs = 0;
+  ASSERT_TRUE(jsonUintField(L[3], "value", SysUs));
+  ASSERT_TRUE(jsonUintField(L[4], "value", UserUs));
+  EXPECT_GT(SysUs + UserUs, 0u);
+  if (L.size() == 6) {
     uint64_t RssKb = 0;
-    EXPECT_NE(L[3].find("\"name\":\"proc.peak_rss_kb\""), std::string::npos);
-    ASSERT_TRUE(jsonUintField(L[3], "value", RssKb));
+    EXPECT_NE(L[5].find("\"name\":\"proc.peak_rss_kb\""), std::string::npos);
+    ASSERT_TRUE(jsonUintField(L[5], "value", RssKb));
     EXPECT_GT(RssKb, 0u);
   }
   uint64_t InnerStart = 0, InnerDur = 0, InnerDepth = 0;
@@ -475,6 +482,28 @@ TEST(ReportTest, RendersTextAndJsonWithoutATrace) {
   EXPECT_NE(Json.str().find("\"quarantined\": 1"), std::string::npos);
   EXPECT_NE(Json.str().find("\"fast_bw\": 1"), std::string::npos);
   EXPECT_EQ(Json.str().find("\"trace\""), std::string::npos);
+}
+
+TEST(ReportTest, JournalOmitsTheValidOnlySpaceReduction) {
+  // A journal holds measured records only, so valid == measured and
+  // Table 4's reduction would always read 0%; only the raw one applies.
+  // A CSV dump has no header and keeps the line and key.
+  for (bool FromJournal : {true, false}) {
+    LoadedRecords L = syntheticRecords(4);
+    if (!FromJournal)
+      L.Header.reset();
+    SweepSummary S = SweepSummary::fromRecords(L);
+    std::ostringstream Text, Json;
+    renderReportText(S, nullptr, Text);
+    renderReportJson(S, nullptr, Json);
+    EXPECT_EQ(Text.str().find("space reduction      : ") == std::string::npos,
+              FromJournal);
+    EXPECT_EQ(Json.str().find("\"space_reduction\":") == std::string::npos,
+              FromJournal);
+    EXPECT_EQ(Text.str().find("reduction vs raw     : 95.0%") !=
+                  std::string::npos,
+              FromJournal);
+  }
 }
 
 TEST(ReportTest, LoadsJournalsAndCsvDumpsAlike) {

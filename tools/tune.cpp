@@ -9,13 +9,7 @@
 //   tune list
 //       List the built-in applications and their optimization spaces.
 //
-//   tune search --app <name> [--strategy pareto|exhaustive|cluster|
-//                             random|greedy] [--machine gtx|nextgen]
-//                            [--budget N] [--seed N] [--inject SPEC]
-//                            [--jobs N] [--fast-bw] [--lint]
-//                            [--sim-engine event|scan]
-//                            [--journal FILE [--resume]] [--isolate]
-//                            [--task-timeout S] [--shard N] [--out FILE.csv]
+//   tune search --app <name> [flags]   (usage() lists every flag)
 //       Run a search strategy and print the outcome (Table-4 style).
 //       --inject arms the deterministic fault injector (see
 //       support/FaultInjection.h for the SPEC grammar); quarantined
@@ -30,10 +24,6 @@
 //       evaluation: configurations with error-severity findings are
 //       quarantined under Stage::Lint.  A clean space journals
 //       byte-identically with or without the gate.
-//       --sim-engine picks the simulator scheduler core (default: event,
-//       the fast one; scan is the reference).  The engines are
-//       bit-identical — journals do not depend on the choice, so it stays
-//       out of the resume fingerprint.
 //       --journal streams every completed evaluation through a crash-safe
 //       write-ahead journal; --resume replays a matching journal and
 //       skips finished configurations.  --isolate forks a worker per
@@ -118,6 +108,7 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -127,6 +118,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 using namespace g80;
 
@@ -157,8 +150,7 @@ int usage() {
          "               greedy|anneal|genetic] [--space small|large]\n"
          "               [--machine gtx|nextgen] [--budget N] [--seed N] "
          "[--inject SPEC]\n"
-         "               [--jobs N] [--fast-bw] [--lint] "
-         "[--sim-engine event|scan]\n"
+         "               [--jobs N] [--fast-bw] [--lint]\n"
          "               [--journal FILE [--resume]] [--isolate] "
          "[--task-timeout S] [--shard N]\n"
          "               [--out FILE.csv] [--trace FILE.jsonl] [--progress]\n"
@@ -248,21 +240,54 @@ bool isValuelessSwitch(std::string_view Name) {
          Name == "progress" || Name == "lint" || Name == "no-local";
 }
 
-std::map<std::string, std::string> parseFlags(int Argc, char **Argv,
-                                              int Start) {
-  std::map<std::string, std::string> Flags;
+/// The flags each subcommand reads.  parseFlags rejects any other, so a
+/// typo such as `--jurnal` is a usage error instead of a search that
+/// silently runs without its journal.
+const std::map<std::string_view, std::vector<std::string_view>>
+    SubcommandFlags = {
+        {"list", {}},
+        {"search",
+         {"app", "strategy", "space", "machine", "budget", "seed", "inject",
+          "jobs", "fast-bw", "lint", "journal", "resume", "isolate",
+          "task-timeout", "shard", "out", "trace", "progress"}},
+        {"report", {"trace", "top", "format"}},
+        {"lint", {"app", "config", "format"}},
+        {"show", {"app", "config", "machine"}},
+        {"inspect", {"file", "block", "grid", "machine"}},
+        {"serve",
+         {"spool", "socket", "tcp-port", "queue-limit", "executors", "jobs",
+          "isolate", "deadline", "trace"}},
+        {"fleet",
+         {"app", "spool", "journal", "workers", "machine", "strategy",
+          "space", "seed", "budget", "fast-bw", "lint", "shard-size",
+          "shard-timeout", "heartbeat", "hedge-pct", "jobs", "no-local",
+          "progress", "trace"}},
+};
+
+/// Collects the --flags after \p Start into \p Flags; prints an error and
+/// fails on a flag that is not in \p Known or lacks its value.
+bool parseFlags(int Argc, char **Argv, int Start,
+                const std::vector<std::string_view> &Known,
+                std::map<std::string, std::string> &Flags) {
   for (int I = Start; I < Argc; ++I) {
     if (std::strncmp(Argv[I], "--", 2) != 0)
       continue;
     std::string Name = Argv[I] + 2;
+    if (std::find(Known.begin(), Known.end(), Name) == Known.end()) {
+      std::cerr << "error: unknown flag --" << Name << "\n";
+      return false;
+    }
     if (isValuelessSwitch(Name)) {
       Flags[Name] = "1";
       continue;
     }
-    if (I + 1 < Argc)
-      Flags[Name] = Argv[++I];
+    if (I + 1 == Argc) {
+      std::cerr << "error: --" << Name << " needs a value\n";
+      return false;
+    }
+    Flags[Name] = Argv[++I];
   }
-  return Flags;
+  return true;
 }
 
 /// First argument that is neither a --flag nor a flag's value — the
@@ -423,21 +448,6 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   bool Lint = Flags.count("lint") != 0;
   SimOptions SimO;
   SimO.BandwidthFastPath = FastBw;
-  // Engine selection changes how the schedule is computed, never the
-  // results (the engines are bit-identical), so it deliberately stays out
-  // of the journal fingerprint: a scan-engine journal resumes under the
-  // event engine and vice versa.
-  if (Flags.count("sim-engine")) {
-    const std::string &E = Flags["sim-engine"];
-    if (E == "scan")
-      SimO.EngineSel = SimOptions::Engine::Scan;
-    else if (E == "event")
-      SimO.EngineSel = SimOptions::Engine::Event;
-    else {
-      std::cerr << "error: --sim-engine must be 'event' or 'scan'\n";
-      return usage();
-    }
-  }
   SearchEngine Engine(*App, Machine, {}, SimO, std::move(Faults),
                       LintOptions{Lint});
 
@@ -1033,7 +1043,11 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
   std::string Cmd = Argv[1];
-  std::map<std::string, std::string> Flags = parseFlags(Argc, Argv, 2);
+  auto Known = SubcommandFlags.find(Cmd);
+  std::map<std::string, std::string> Flags;
+  if (Known == SubcommandFlags.end() ||
+      !parseFlags(Argc, Argv, 2, Known->second, Flags))
+    return usage();
   if (Cmd == "list")
     return cmdList();
   if (Cmd == "search")
